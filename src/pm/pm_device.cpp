@@ -2,21 +2,26 @@
 
 #include <cassert>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 
 namespace papm::pm {
 
-PmDevice::PmDevice(sim::Env& env, u64 size) : env_(env), size_(size) {
+PmDevice::PmDevice(sim::Env& env, u64 size)
+    : env_(env), size_(size), touched_(size), ever_(size) {
   if (size % kCacheLine != 0 || size < sizeof(Header) + kCacheLine) {
     throw std::invalid_argument("PmDevice: bad size");
   }
-  mem_.assign(size, 0);
-  persisted_.assign(size, 0);
+  // calloc hands out large regions as fresh zero pages straight from the
+  // kernel, so neither image costs anything until a page is first written.
+  mem_.reset(static_cast<u8*>(std::calloc(size, 1)));
+  persisted_.reset(static_cast<u8*>(std::calloc(size, 1)));
+  if (!mem_ || !persisted_) throw std::bad_alloc();
   Header* h = header();
   h->magic = kMagic;
   h->size = size;
   // The header is born durable: a real device would be formatted offline.
-  std::memcpy(persisted_.data(), mem_.data(), sizeof(Header));
+  std::memcpy(persisted_.get(), mem_.get(), sizeof(Header));
 }
 
 u64 PmDevice::data_base() const noexcept {
@@ -27,9 +32,14 @@ std::unique_ptr<PmDevice> PmDevice::clone_persisted() const {
   auto d = std::make_unique<PmDevice>(env_, size_);
   // What the DIMMs hold after the cut: the persisted image, verbatim —
   // including the root directory. The caches (dirty/pending/deferred)
-  // died with the host.
-  d->mem_ = persisted_;
-  d->persisted_ = persisted_;
+  // died with the host. Pages never written are zero in both devices.
+  for (u64 page : ever_.pages) {
+    const u64 off = page * kPage;
+    std::memcpy(d->mem_.get() + off, persisted_.get() + off, page_bytes(page));
+    std::memcpy(d->persisted_.get() + off, persisted_.get() + off,
+                page_bytes(page));
+    d->ever_.insert(page);
+  }
   return d;
 }
 
@@ -39,21 +49,31 @@ void PmDevice::check_range(u64 offset, u64 len) const {
   }
 }
 
+void PmDevice::touch(u64 offset, u64 len) {
+  if (len == 0) return;
+  const u64 last = (offset + len - 1) / kPage;
+  for (u64 page = offset / kPage; page <= last; page++) {
+    if (touched_.insert(page)) ever_.insert(page);
+  }
+}
+
 u8* PmDevice::at(u64 offset, u64 len) {
   check_range(offset, len);
   accessed_bytes_ += len;
-  return mem_.data() + offset;
+  touch(offset, len);  // the caller may write through the pointer
+  return mem_.get() + offset;
 }
 
 const u8* PmDevice::at(u64 offset, u64 len) const {
   check_range(offset, len);
   accessed_bytes_ += len;
-  return mem_.data() + offset;
+  return mem_.get() + offset;
 }
 
 void PmDevice::store(u64 offset, std::span<const u8> data) {
   check_range(offset, data.size());
-  std::memcpy(mem_.data() + offset, data.data(), data.size());
+  touch(offset, data.size());
+  std::memcpy(mem_.get() + offset, data.data(), data.size());
   mark_dirty(offset, data.size());
 }
 
@@ -62,8 +82,9 @@ void PmDevice::store_dma(u64 offset, std::span<const u8> data) {
   check_range(offset, data.size());
   // The DMA write lands in the PM controller directly: both images update,
   // no flush is owed for these bytes.
-  std::memcpy(mem_.data() + offset, data.data(), data.size());
-  std::memcpy(persisted_.data() + offset, data.data(), data.size());
+  touch(offset, data.size());
+  std::memcpy(mem_.get() + offset, data.data(), data.size());
+  std::memcpy(persisted_.get() + offset, data.data(), data.size());
   // Lines fully covered by the DMA carry no stale CPU-side bytes any more;
   // partially covered edge lines keep whatever dirty state the CPU owes.
   const u64 first_full = align_up(offset, kCacheLine) / kCacheLine;
@@ -171,7 +192,8 @@ void PmDevice::store_u64_deferred(u64 offset, u64 value) {
   // The volatile view forwards the value to loads immediately, but the
   // word is withheld from every drain path until apply_deferred() — it is
   // deliberately *not* marked dirty, so eviction cannot leak it either.
-  std::memcpy(mem_.data() + offset, &value, 8);
+  touch(offset, 8);
+  std::memcpy(mem_.get() + offset, &value, 8);
   deferred_.insert(offset);
 }
 
@@ -183,14 +205,14 @@ void PmDevice::apply_deferred(u64 offset) {
 
 void PmDevice::drain_line_whole(u64 line) {
   if (deferred_.empty()) {
-    std::memcpy(persisted_.data() + line * kCacheLine,
-                mem_.data() + line * kCacheLine, kCacheLine);
+    std::memcpy(persisted_.get() + line * kCacheLine,
+                mem_.get() + line * kCacheLine, kCacheLine);
     return;
   }
   for (u64 w = 0; w < kCacheLine / 8; w++) {
     const u64 off = line * kCacheLine + w * 8;
     if (deferred_.count(off) != 0) continue;  // withheld publication
-    std::memcpy(persisted_.data() + off, mem_.data() + off, 8);
+    std::memcpy(persisted_.get() + off, mem_.get() + off, 8);
   }
 }
 
@@ -208,7 +230,7 @@ void PmDevice::drain_line(u64 line, bool torn, Rng& rng) {
     const u64 off = line * kCacheLine + w * 8;
     if (deferred_.count(off) != 0) continue;
     if (rng.chance(0.5)) {
-      std::memcpy(persisted_.data() + off, mem_.data() + off, 8);
+      std::memcpy(persisted_.get() + off, mem_.get() + off, 8);
     }
   }
 }
@@ -234,9 +256,19 @@ void PmDevice::power_cut() {
       }
     }
   }
+  restore_volatile();
+}
+
+void PmDevice::restore_volatile() {
+  // Only pages written since the last cut can differ from the persisted
+  // image; unapplied deferred publications revert with them.
+  for (u64 page : touched_.pages) {
+    const u64 off = page * kPage;
+    std::memcpy(mem_.get() + off, persisted_.get() + off, page_bytes(page));
+  }
+  touched_.clear();
   pending_.clear();
   dirty_.clear();
-  mem_ = persisted_;  // unapplied deferred publications revert with it
   deferred_.clear();
 }
 
@@ -251,10 +283,7 @@ void PmDevice::crash() {
   for (u64 line : pending_) {
     if (env_.rng.chance(0.5)) drain_line_whole(line);
   }
-  pending_.clear();
-  dirty_.clear();
-  mem_ = persisted_;
-  deferred_.clear();
+  restore_volatile();
 }
 
 Status PmDevice::set_root(std::string_view name, u64 offset) {
@@ -272,7 +301,7 @@ Status PmDevice::set_root(std::string_view name, u64 offset) {
   std::memset(slot->name, 0, sizeof(slot->name));
   std::memcpy(slot->name, name.data(), name.size());
   slot->offset = offset;
-  const u64 off = reinterpret_cast<const u8*>(slot) - mem_.data();
+  const u64 off = reinterpret_cast<const u8*>(slot) - mem_.get();
   mark_dirty(off, sizeof(RootEntry));
   persist(off, sizeof(RootEntry));
   return Errc::ok;

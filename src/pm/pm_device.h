@@ -17,10 +17,18 @@
 //  * a named root directory so recovery code can find its structures
 //    after a crash/remap without raw-offset bookkeeping.
 //
+// Both images are zero-on-demand allocations: PM the workload never
+// touches costs no page faults and no RSS. Invariant: the volatile view
+// differs from the persisted image only on pages written since the last
+// cut, so a cut restores just those pages (DESIGN.md §7.1). Every path
+// that writes the volatile image must record its pages (touch()).
+//
 // Higher layers never hold raw pointers across a crash: they address PM
 // with byte offsets (see pm_ptr.h) and re-resolve against the device.
 #pragma once
 
+#include <algorithm>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <span>
@@ -42,6 +50,7 @@ class PmDevice {
   /// Creates a zeroed region of `size` bytes. `size` must be a multiple of
   /// the cache-line size and large enough for the root directory header.
   /// The header is born durable (a real device is formatted offline).
+  /// Pages are materialized on first write, not here.
   PmDevice(sim::Env& env, u64 size);
 
   PmDevice(const PmDevice&) = delete;
@@ -56,7 +65,9 @@ class PmDevice {
   /// Bounds-checked access into the current (cache-inclusive) image.
   /// The returned pointer is a *volatile* view: it must not be held across
   /// crash(), and bytes written through it are not durable until
-  /// mark_dirty() + persist() (or store(), which marks for you).
+  /// mark_dirty() + persist() (or store(), which marks for you). The
+  /// non-const overload records the range's pages as possibly written, so
+  /// the next cut reverts whatever is written through it.
   [[nodiscard]] u8* at(u64 offset, u64 len);
   [[nodiscard]] const u8* at(u64 offset, u64 len) const;
   [[nodiscard]] std::span<u8> span(u64 offset, u64 len) { return {at(offset, len), len}; }
@@ -265,12 +276,51 @@ class PmDevice {
   };
   static constexpr u64 kMagic = 0x50'41'50'4d'2d'50'4d'31ULL;  // "PAPM-PM1"
 
-  [[nodiscard]] Header* header() { return reinterpret_cast<Header*>(mem_.data()); }
+  // Page granularity of the lazy images and of crash restore.
+  static constexpr u64 kPage = 4096;
+
+  struct FreeDeleter {
+    void operator()(u8* p) const noexcept { std::free(p); }
+  };
+  using Image = std::unique_ptr<u8[], FreeDeleter>;
+
+  // A set of page indices: a bitmap for membership plus the member list,
+  // so iterating and clearing cost O(members), not O(device pages).
+  struct PageSet {
+    explicit PageSet(u64 device_size) : member((device_size + kPage - 1) / kPage) {}
+    bool insert(u64 page) {
+      if (member[page]) return false;
+      member[page] = true;
+      pages.push_back(page);
+      return true;
+    }
+    void clear() {
+      for (u64 page : pages) member[page] = false;
+      pages.clear();
+    }
+    std::vector<bool> member;
+    std::vector<u64> pages;
+  };
+
+  [[nodiscard]] Header* header() {
+    touch(0, sizeof(Header));
+    return reinterpret_cast<Header*>(mem_.get());
+  }
   [[nodiscard]] const Header* header() const {
-    return reinterpret_cast<const Header*>(mem_.data());
+    return reinterpret_cast<const Header*>(mem_.get());
   }
 
   void check_range(u64 offset, u64 len) const;
+  // Records that the volatile view of [offset, offset+len) may now differ
+  // from the persisted image. Every write into mem_ goes through here.
+  void touch(u64 offset, u64 len);
+  // Bytes of `page` inside the device (the last page may be partial).
+  [[nodiscard]] u64 page_bytes(u64 page) const noexcept {
+    return std::min(kPage, size_ - page * kPage);
+  }
+  // The cut's last step: reverts the volatile view to the persisted image
+  // on every page written since the previous cut, and drops the caches.
+  void restore_volatile();
   // One persistence-ordering instruction retired; fires the scheduled cut.
   void bump_fault_event();
   // Applies the armed plan's drain/tear/evict semantics to the persisted
@@ -285,8 +335,10 @@ class PmDevice {
 
   sim::Env& env_;
   u64 size_;
-  std::vector<u8> mem_;        // volatile view (includes CPU caches)
-  std::vector<u8> persisted_;  // what survives power loss
+  Image mem_;        // volatile view (includes CPU caches)
+  Image persisted_;  // what survives power loss
+  PageSet touched_;  // pages written since the last cut
+  PageSet ever_;     // pages written since construction (a superset)
   std::unordered_set<u64> dirty_;    // line indices modified, not clwb'd
   std::unordered_set<u64> pending_;  // clwb'd, awaiting sfence
   std::unordered_set<u64> deferred_;  // byte offsets of withheld 8B words
