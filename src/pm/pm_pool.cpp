@@ -55,10 +55,8 @@ Result<PmPool> PmPool::recover(PmDevice& dev, std::string_view name) {
 }
 
 std::optional<std::size_t> PmPool::class_for(u64 size) noexcept {
-  for (std::size_t i = 0; i < kClassSizes.size(); i++) {
-    if (size <= kClassSizes[i]) return i;
-  }
-  return std::nullopt;
+  if (size == 0 || size > kMaxClassSize) return std::nullopt;
+  return (size - 1) / kCacheLine;
 }
 
 Result<u64> PmPool::alloc(u64 size) {
@@ -71,6 +69,7 @@ Result<u64> PmPool::alloc(u64 size) {
                                               : env.cost.pm_alloc_ns);
 
   PoolHeader* h = hdr();
+  const u64 block = align_up(size, kCacheLine);
   const auto cls = class_for(size);
   if (cls.has_value()) {
     if (in_epoch_) {
@@ -78,7 +77,7 @@ Result<u64> PmPool::alloc(u64 size) {
       if (!epoch_free_[*cls].empty()) {
         const u64 off = epoch_free_[*cls].back();
         epoch_free_[*cls].pop_back();
-        allocated_bytes_ += kClassSizes[*cls];
+        allocated_bytes_ += block;
         return off;
       }
       // Pop the shadow of the sealed chain: links are pre-seal durable
@@ -88,7 +87,7 @@ Result<u64> PmPool::alloc(u64 size) {
         u64 next;
         std::memcpy(&next, dev_->at(head, 8), 8);
         shadow_heads_[*cls] = next;
-        allocated_bytes_ += kClassSizes[*cls];
+        allocated_bytes_ += block;
         return head;
       }
     } else {
@@ -99,16 +98,13 @@ Result<u64> PmPool::alloc(u64 size) {
         std::memcpy(&next, dev_->at(head, 8), 8);
         h->free_heads[*cls] = next;
         persist_header_field(&h->free_heads[*cls], 8);
-        allocated_bytes_ += kClassSizes[*cls];
+        allocated_bytes_ += block;
         return head;
       }
     }
   }
-  // Carve from the bump region.
-  const u64 block = cls.has_value() ? kClassSizes[*cls]
-                                    : align_up(size, kCacheLine);
-  const u64 at = align_up(h->bump, cls.has_value() ? u64{kClassSizes[*cls]}
-                                                   : u64{kCacheLine});
+  // Carve whole lines from the bump frontier, which stays line-aligned.
+  const u64 at = h->bump;
   if (at + block > h->base + h->span_len) return Errc::out_of_space;
   h->bump = at + block;
   if (in_epoch_) {
@@ -133,14 +129,13 @@ void PmPool::free(u64 offset, u64 size) {
 
   const auto cls = class_for(size);
   if (!cls.has_value()) return;  // large blocks are not recycled
+  const u64 block = align_up(size, kCacheLine);
   if (in_epoch_) {
     // Zero persist events: the block parks in DRAM until reuse (or until
     // exit_commit_epoch links it back durably). A cut loses the whole
     // free pool to the leak bound — durable heads are already sealed.
     epoch_free_[*cls].push_back(offset);
-    if (allocated_bytes_ >= kClassSizes[*cls]) {
-      allocated_bytes_ -= kClassSizes[*cls];
-    }
+    if (allocated_bytes_ >= block) allocated_bytes_ -= block;
     return;
   }
   PoolHeader* h = hdr();
@@ -150,7 +145,7 @@ void PmPool::free(u64 offset, u64 size) {
   dev_->persist(offset, 8);
   h->free_heads[*cls] = offset;
   persist_header_field(&h->free_heads[*cls], 8);
-  if (allocated_bytes_ >= kClassSizes[*cls]) allocated_bytes_ -= kClassSizes[*cls];
+  if (allocated_bytes_ >= block) allocated_bytes_ -= block;
 }
 
 bool PmPool::enter_commit_epoch() {
@@ -159,7 +154,7 @@ bool PmPool::enter_commit_epoch() {
   meta_dirty_ = false;
   PoolHeader* h = hdr();
   bool sealed = false;
-  for (std::size_t i = 0; i < kClassSizes.size(); i++) {
+  for (std::size_t i = 0; i < kNumClasses; i++) {
     shadow_heads_[i] = h->free_heads[i];
     epoch_free_[i].clear();
     if (h->free_heads[i] != 0) {
@@ -184,7 +179,7 @@ void PmPool::exit_commit_epoch() {
   }
   // Phase 1: link every DRAM-parked block onto its shadow chain.
   bool links = false;
-  for (std::size_t i = 0; i < kClassSizes.size(); i++) {
+  for (std::size_t i = 0; i < kNumClasses; i++) {
     u64 head = shadow_heads_[i];
     for (const u64 off : epoch_free_[i]) {
       dev_->store(off, std::span<const u8>(reinterpret_cast<const u8*>(&head), 8));
@@ -198,7 +193,7 @@ void PmPool::exit_commit_epoch() {
   if (links) dev_->sfence();
   // Phase 2: republish the heads; links are durable first.
   bool heads = false;
-  for (std::size_t i = 0; i < kClassSizes.size(); i++) {
+  for (std::size_t i = 0; i < kNumClasses; i++) {
     if (h->free_heads[i] != shadow_heads_[i]) {
       const u64 off = field_offset(&h->free_heads[i]);
       dev_->store_u64(off, shadow_heads_[i]);

@@ -6,13 +6,19 @@
 //
 // Layout: a persisted PoolHeader holds a bump pointer and per-size-class
 // freelist heads; a free block's first 8 bytes store the next-free offset.
+// Allocation is line-granular: every block is a whole number of 64 B
+// lines carved at the next line boundary, so packet buffers, PPktMeta
+// lines and skip-list nodes pack densely and no two blocks share a line.
+// Class c serves blocks of (c + 1) lines, 64 B to 4 KiB in 64 B steps; a
+// freed block is reused only by its own class (segregated fit). Larger
+// blocks are carved line-rounded and never recycled.
 //
 // Crash-consistency policy: *leak, never corrupt*. Every metadata update
 // follows write -> clwb -> sfence ordering, and the visible state is
 // always a consistent freelist; a crash between popping a block and the
 // caller publishing it into its own structure leaks that block (exactly
-// like PMDK's non-transactional allocations). `leaked_bytes()` lets tests
-// measure the leak bound; `recover()` re-attaches to an existing pool.
+// like PMDK's non-transactional allocations). `recover()` re-attaches to
+// an existing pool.
 // Group-commit integration (FlushBatcher): while the host is batching,
 // the pool runs in a *commit epoch*. On entry every non-empty durable
 // freelist head is sealed to zero (one clwb'd store per class; the
@@ -39,8 +45,8 @@ namespace papm::pm {
 
 class PmPool {
  public:
-  static constexpr std::array<u32, 7> kClassSizes = {64,  128,  256, 512,
-                                                     1024, 2048, 4096};
+  static constexpr std::size_t kNumClasses = 64;
+  static constexpr u64 kMaxClassSize = kNumClasses * kCacheLine;  // 4 KiB
 
   /// Formats a new pool occupying [base, base+span_len) of `dev` and
   /// registers it under root name `name`; the header is durable before
@@ -55,9 +61,9 @@ class PmPool {
   /// Errc::corrupted on a bad header magic.
   static Result<PmPool> recover(PmDevice& dev, std::string_view name);
 
-  /// Allocates at least `size` bytes; returns the block offset. Blocks of
-  /// more than the largest class are carved from the bump region rounded
-  /// to a whole number of lines (and are not recycled by free()).
+  /// Allocates at least `size` bytes, rounded up to whole lines; returns
+  /// the line-aligned block offset. Blocks over kMaxClassSize are carved
+  /// from the bump region and are not recycled by free().
   /// Ordering contract: the bump/freelist metadata update is persisted
   /// (clwb+sfence) before returning, so a crash after alloc() can only
   /// *leak* the block — it can never be handed out twice after recovery.
@@ -74,8 +80,7 @@ class PmPool {
   [[nodiscard]] u64 allocated_bytes() const noexcept { return allocated_bytes_; }
   [[nodiscard]] u64 capacity() const noexcept;
 
-  // Bytes reachable from neither a freelist nor the bump frontier,
-  // assuming the caller reports its live set. For tests.
+  // Bytes below the bump frontier: live, free and leaked blocks alike.
   [[nodiscard]] u64 bump_used() const;
 
   // Overrides the simulated cost charged per alloc/free. By default a
@@ -108,7 +113,7 @@ class PmPool {
     u64 base;        // span start (== header offset)
     u64 span_len;    // span length in bytes
     u64 bump;        // next never-allocated offset
-    u64 free_heads[kClassSizes.size()];  // 0 = empty
+    u64 free_heads[kNumClasses];  // 0 = empty
   };
   static constexpr u64 kMagic = 0x50'4f'4f'4c'2d'50'4d'31ULL;  // "POOL-PM1"
 
@@ -129,8 +134,8 @@ class PmPool {
   // Commit-epoch state (all volatile; empty outside epoch mode).
   bool in_epoch_ = false;
   bool meta_dirty_ = false;  // bump moved since last flush_metadata()
-  std::array<u64, kClassSizes.size()> shadow_heads_{};
-  std::array<std::vector<u64>, kClassSizes.size()> epoch_free_;
+  std::array<u64, kNumClasses> shadow_heads_{};
+  std::array<std::vector<u64>, kNumClasses> epoch_free_;
 };
 
 }  // namespace papm::pm

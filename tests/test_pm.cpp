@@ -4,12 +4,16 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/pktstore.h"
+#include "net/pktbuf.h"
 #include "pm/pm_device.h"
 #include "pm/pm_pool.h"
 #include "pm/pm_ptr.h"
@@ -347,9 +351,9 @@ class PmPoolTest : public ::testing::Test {
 TEST_F(PmPoolTest, AllocReturnsDistinctAlignedBlocks) {
   std::set<u64> seen;
   for (int i = 0; i < 100; i++) {
-    auto r = pool.alloc(100);  // class 128
+    auto r = pool.alloc(100);  // two lines
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.value() % 128, 0u);
+    EXPECT_EQ(r.value() % kCacheLine, 0u);
     EXPECT_TRUE(seen.insert(r.value()).second);
   }
 }
@@ -425,38 +429,143 @@ TEST_F(PmPoolTest, ChargesConfigurableCosts) {
   EXPECT_EQ(with_zero_alloc_charge, env.cost.clwb_ns + env.cost.sfence_ns);
 }
 
+// Blocks are whole lines carved at the next line boundary: interleaved
+// 64 B and 1,078 B blocks take exactly 64 B and 1,088 B each, with no
+// padding to a power-of-two size or alignment.
+TEST_F(PmPoolTest, CarvesWholeLinesAtLineGranularity) {
+  const u64 before = pool.bump_used();
+  u64 expected = 0;
+  for (int i = 0; i < 16; i++) {
+    for (const u64 sz : {u64{64}, u64{1078}}) {
+      const u64 off = pool.alloc(sz).value();
+      EXPECT_EQ(off % kCacheLine, 0u);
+      expected += align_up(sz, kCacheLine);
+    }
+  }
+  EXPECT_EQ(pool.bump_used() - before, expected);
+}
+
+// A store of 1 KB values holds little more PM than the values themselves:
+// each buffer, PPktMeta line and skip-list node packs line-dense.
+TEST(PmPoolPacking, PktStoreOfOneKbValuesStaysUnderOneQuarterOverhead) {
+  constexpr u64 kStoreDev = 32u << 20;
+  constexpr u64 kKeys = 4096;
+  constexpr u64 kValue = 1024;
+  sim::Env env;
+  PmDevice dev{env, kStoreDev};
+  const u64 base = dev.data_base();
+  PmPool pmpool = PmPool::create(dev, "pkts", base,
+                                 (kStoreDev - base) / kCacheLine * kCacheLine);
+  net::PmArena arena(dev, pmpool);
+  net::PktBufPool pkts(env, arena);
+  core::PktStore store = core::PktStore::create(pkts, "store");
+  std::vector<u8> value(kValue);
+  for (u64 k = 0; k < kKeys; k++) {
+    std::fill(value.begin(), value.end(), static_cast<u8>(k));
+    ASSERT_TRUE(store.put_bytes("key" + std::to_string(k), value).ok());
+  }
+  const double user_bytes = static_cast<double>(kKeys * kValue);
+  EXPECT_LE(static_cast<double>(pmpool.bump_used()), 1.25 * user_bytes);
+}
+
+// Asserts `blocks` (offset, requested size) are line-aligned, disjoint and
+// inside the pool's carved region [first block, bump frontier).
+void expect_well_formed(const PmPool& pool, u64 base, u64 span,
+                        std::vector<std::pair<u64, u64>> blocks) {
+  const u64 lo = base + span - pool.capacity();
+  const u64 hi = lo + pool.bump_used();
+  std::sort(blocks.begin(), blocks.end());
+  u64 prev_end = lo;
+  for (const auto& [off, sz] : blocks) {
+    EXPECT_EQ(off % kCacheLine, 0u) << off;
+    EXPECT_GE(off, prev_end) << "block " << off << " overlaps its predecessor";
+    prev_end = off + align_up(sz, kCacheLine);
+    EXPECT_LE(prev_end, hi) << "block " << off << " runs past the frontier";
+  }
+}
+
 // Property: a crash at an arbitrary point in an alloc/free workload never
 // corrupts the pool — recovery always yields a pool whose allocations are
-// disjoint, aligned blocks. Blocks popped-but-unpublished may leak.
+// disjoint, line-aligned blocks in its span. Blocks popped-but-unpublished
+// may leak. Sizes cover 1..4 KiB with every 64k / 64k+1 class edge plus a
+// few blocks over the largest class, and about half the rounds run inside
+// a commit epoch (some cut mid-epoch, some after it closes).
 TEST_F(PmPoolTest, CrashNeverCorrupts) {
+  constexpr u64 kBigDev = 8u << 20;
+  PmDevice big{env, kBigDev};
+  const u64 base = big.data_base();
+  const u64 span = (kBigDev - base) / kCacheLine * kCacheLine;
+  PmPool p = PmPool::create(big, "pool", base, span);
+
+  std::vector<u64> edges;
+  for (u64 k = 1; k <= PmPool::kNumClasses; k++) {
+    edges.push_back(k * kCacheLine);
+    edges.push_back(k * kCacheLine + 1);
+  }
   Rng rng(99);
+  const auto draw = [&]() -> u64 {
+    if (rng.chance(0.05)) {
+      return PmPool::kMaxClassSize + 1 + rng.next_below(3 * PmPool::kMaxClassSize);
+    }
+    if (rng.chance(0.5)) return edges[rng.next_below(edges.size())];
+    return 1 + rng.next_below(PmPool::kMaxClassSize);
+  };
+
   std::vector<std::pair<u64, u64>> live;  // (offset, size)
-  for (int round = 0; round < 20; round++) {
+  for (int round = 0; round < 40; round++) {
+    const bool epoch = rng.chance(0.5);
+    if (epoch && p.enter_commit_epoch()) big.sfence();
     // Random workload burst.
     for (int i = 0; i < 30; i++) {
       if (!live.empty() && rng.chance(0.4)) {
         const auto idx = rng.next_below(live.size());
-        pool.free(live[idx].first, live[idx].second);
+        p.free(live[idx].first, live[idx].second);
         live.erase(live.begin() + static_cast<long>(idx));
       } else {
-        const u64 sz = PmPool::kClassSizes[rng.next_below(4)];
-        auto r = pool.alloc(sz);
-        if (r.ok()) live.push_back({r.value(), sz});
+        const u64 sz = draw();
+        auto r = p.alloc(sz);
+        ASSERT_TRUE(r.ok());
+        live.push_back({r.value(), sz});
       }
     }
-    dev.crash();
-    live.clear();  // we don't track publication; everything leaks
-    auto rec = PmPool::recover(dev, "pool");
-    ASSERT_TRUE(rec.ok());
-    pool = std::move(rec.value());
-    // Post-recovery the pool serves valid, distinct blocks.
-    std::set<u64> seen;
-    for (int i = 0; i < 20; i++) {
-      auto r = pool.alloc(128);
-      ASSERT_TRUE(r.ok());
-      EXPECT_TRUE(seen.insert(r.value()).second);
-      live.push_back({r.value(), 128});
+    expect_well_formed(p, base, span, live);
+
+    // Free everything, then re-allocate the same multiset of class sizes:
+    // each class reuses its own blocks, so the frontier does not move.
+    // (Blocks over the largest class are not recycled.)
+    std::vector<u64> again;
+    for (const auto& [off, sz] : live) {
+      p.free(off, sz);
+      if (sz <= PmPool::kMaxClassSize) again.push_back(sz);
     }
+    live.clear();
+    const u64 frontier = p.bump_used();
+    for (const u64 sz : again) {
+      auto r = p.alloc(sz);
+      ASSERT_TRUE(r.ok());
+      live.push_back({r.value(), sz});
+    }
+    EXPECT_EQ(p.bump_used(), frontier);
+    expect_well_formed(p, base, span, live);
+
+    if (epoch) {
+      p.flush_metadata();
+      big.sfence();
+      if (rng.chance(0.5)) p.exit_commit_epoch();
+    }
+    big.crash();
+    live.clear();  // we don't track publication; everything leaks
+    auto rec = PmPool::recover(big, "pool");
+    ASSERT_TRUE(rec.ok());
+    p = std::move(rec.value());
+    // Post-recovery the pool serves valid, distinct blocks.
+    for (int i = 0; i < 20; i++) {
+      const u64 sz = draw();
+      auto r = p.alloc(sz);
+      ASSERT_TRUE(r.ok());
+      live.push_back({r.value(), sz});
+    }
+    expect_well_formed(p, base, span, live);
   }
 }
 
