@@ -24,6 +24,10 @@
 //   --deadline-us D  per-request deadline (default 200)
 //   --cores N        server cores / datapath shards (default 4)
 //   --backend B      discard | raw_persist | lsm | pktstore (default)
+//   --get-ratio R    fraction of GETs (default 0.5, the O1 mix)
+//   --zipf THETA     Zipfian key skew, e.g. 0.99 (default 0 = uniform).
+//                    Either flag adds `get_ratio` and `zipf_theta` to the
+//                    JSON envelope; without them the record is unchanged
 //   --rebalance      enable the runtime shard-load rebalancer
 //   --quick          reduced sweep (1k, 10k) and a shorter window
 //   --metrics        print the merged metric registries after each point
@@ -92,6 +96,9 @@ int main(int argc, char** argv) {
       benchio::arg_value(argc, argv, "--deadline-us");
   const std::string cores_arg = benchio::arg_value(argc, argv, "--cores");
   const std::string backend_arg = benchio::arg_value(argc, argv, "--backend");
+  const std::string get_ratio_arg =
+      benchio::arg_value(argc, argv, "--get-ratio");
+  const std::string zipf_arg = benchio::arg_value(argc, argv, "--zipf");
 
   const double rate = rate_arg.empty() ? 100'000.0 : std::stod(rate_arg);
   const double seconds =
@@ -100,6 +107,11 @@ int main(int argc, char** argv) {
       deadline_arg.empty() ? 200 : std::stoll(deadline_arg);
   const int cores = cores_arg.empty() ? 4 : std::stoi(cores_arg);
   const Backend backend = backend_from(backend_arg);
+  const double get_ratio =
+      get_ratio_arg.empty() ? OpenLoopRunConfig{}.get_ratio
+                            : std::stod(get_ratio_arg);
+  const double zipf_theta = zipf_arg.empty() ? 0.0 : std::stod(zipf_arg);
+  const bool mix_flags = !get_ratio_arg.empty() || !zipf_arg.empty();
 
   std::vector<int> conns_sweep;
   if (!conns_arg.empty()) {
@@ -119,6 +131,10 @@ int main(int argc, char** argv) {
               rate, deadline_us, cores,
               std::string(to_string(backend)).c_str(),
               rebalance ? ", rebalancing ON" : "");
+  if (mix_flags) {
+    std::printf("    %.0f%% GET, keys %s (theta %.2f)\n", get_ratio * 100.0,
+                zipf_theta > 0.0 ? "Zipfian" : "uniform", zipf_theta);
+  }
   std::printf("%8s %9s %9s %8s %8s %8s %8s %9s %6s %9s\n", "conns",
               "offered", "kreq/s", "p50[us]", "p99[us]", "p999[us]",
               "miss%", "imbal", "moves", "cpu");
@@ -131,6 +147,8 @@ int main(int argc, char** argv) {
     cfg.pm_size = 1u << 30;
     cfg.connections = conns;
     cfg.rate_rps = rate;
+    cfg.get_ratio = get_ratio;
+    cfg.zipf_theta = zipf_theta;
     cfg.deadline_ns = static_cast<SimTime>(deadline_us) * kNsPerUs;
     cfg.warmup_ns = 50 * kNsPerMs;
     cfg.measure_ns = static_cast<SimTime>(seconds * 1e9);
@@ -206,6 +224,10 @@ int main(int argc, char** argv) {
     w.field("admin", static_cast<long long>(admin ? 1 : 0));
     w.field("flightrec", static_cast<long long>(flightrec ? 1 : 0));
     w.field("admin_overhead", static_cast<long long>(admin_overhead ? 1 : 0));
+    if (mix_flags) {
+      w.field("get_ratio", get_ratio);
+      w.field("zipf_theta", zipf_theta);
+    }
     if (want_cost_model) {
       w.begin_object("cost_model");
       benchio::write_cost_model(w, sim::CostModel{});

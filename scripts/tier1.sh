@@ -37,6 +37,13 @@ build/bench/bench_openloop --conns 1000 --seconds 1 --json build/openloop_a.json
 build/bench/bench_openloop --conns 1000 --seconds 1 --json build/openloop_b.json
 cmp build/openloop_a.json build/openloop_b.json
 echo "bench_openloop: reruns byte-identical"
+# The GET-heavy mix (zero-copy GET TX, window queueing) reruns bytewise too.
+build/bench/bench_openloop --conns 1000 --seconds 1 --get-ratio 0.5 --zipf 0.99 \
+  --json build/openloop_get_a.json
+build/bench/bench_openloop --conns 1000 --seconds 1 --get-ratio 0.5 --zipf 0.99 \
+  --json build/openloop_get_b.json
+cmp build/openloop_get_a.json build/openloop_get_b.json
+echo "bench_openloop --get-ratio 0.5 --zipf 0.99: reruns byte-identical"
 
 echo "== tier-1: slicer smoke + determinism (byte-identical reruns) =="
 build/bench/bench_slicer --quick --json build/slicer_a.json

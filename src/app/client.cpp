@@ -58,6 +58,8 @@ void WrkClient::issue(ConnCtx& ctx) {
   const u64 key_idx = ctx.zipf.has_value() ? ctx.zipf->next()
                                            : ctx.rng.next_below(cfg_.keyspace);
   const bool is_get = ctx.rng.next_double() < cfg_.get_ratio;
+  ctx.key_idx = key_idx;
+  ctx.is_get = is_get;
 
   env.clock().advance(env.cost.scaled(env.cost.client_http_build_ns));
   http::Request req;
@@ -78,6 +80,10 @@ void WrkClient::on_readable(ConnCtx& ctx) {
       if (resp->status >= 400) {
         http_errors_++;
         obs::inc(m_http_errors_);
+      }
+      if (ctx.in_flight && ctx.is_get && resp->status == 200 &&
+          resp->body != value_for(ctx.key_idx)) {
+        get_mismatches_++;
       }
       if (ctx.in_flight) {
         const SimTime rtt = env.now() - ctx.issued_at;

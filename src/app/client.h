@@ -5,7 +5,8 @@
 //
 // Each connection runs a closed loop: issue a request, wait for the full
 // response, record the application-level RTT, issue the next. Keys are
-// drawn uniformly from a key space; values are deterministic per key.
+// drawn uniformly from a key space; values are deterministic per key, so
+// every 200 GET body is checked against value_for(key) (uncharged).
 #pragma once
 
 #include <memory>
@@ -47,10 +48,13 @@ class WrkClient {
   [[nodiscard]] Stats& latencies() noexcept { return rtt_; }
   [[nodiscard]] u64 completed() const noexcept { return completed_; }
   [[nodiscard]] u64 http_errors() const noexcept { return http_errors_; }
+  // 200 GET responses whose body is not value_for(key).
+  [[nodiscard]] u64 get_mismatches() const noexcept { return get_mismatches_; }
   void reset_stats() {
     rtt_.clear();
     completed_ = 0;
     http_errors_ = 0;
+    get_mismatches_ = 0;
     trace_.clear();
   }
 
@@ -65,6 +69,8 @@ class WrkClient {
     http::ResponseParser parser;
     SimTime issued_at = 0;
     bool in_flight = false;
+    u64 key_idx = 0;  // of the in-flight request
+    bool is_get = false;
     Rng rng{0};
     std::optional<Zipf> zipf;
   };
@@ -79,6 +85,7 @@ class WrkClient {
   Stats rtt_;
   u64 completed_ = 0;
   u64 http_errors_ = 0;
+  u64 get_mismatches_ = 0;
   u64 next_req_ = 1;  // trace request ids
   bool stopped_ = false;
   bool tracing_ = false;

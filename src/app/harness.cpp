@@ -199,6 +199,7 @@ RunResult run_experiment(const RunConfig& cfg) {
       static_cast<double>(server_host.cpu().busy_ns() - busy_before) /
       static_cast<double>(cfg.measure_ns * std::max(1, cfg.server_cores));
   r.server_errors = server.errors() + client.http_errors();
+  r.get_mismatches = client.get_mismatches();
   r.retransmits_hint = fabric.dropped();
   for (u32 i = 0; i < server_host.datapaths(); i++) {
     r.shard_requests.push_back(server.shard_requests(i));
@@ -524,6 +525,7 @@ OpenLoopResult run_openloop(const OpenLoopRunConfig& cfg) {
     r.completed += c->completed();
     r.deadline_misses += c->deadline_misses();
     r.errors += c->http_errors();
+    r.get_mismatches += c->get_mismatches();
   }
   r.errors += server.errors();
   r.miss_rate = r.completed > 0 ? static_cast<double>(r.deadline_misses) /

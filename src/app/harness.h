@@ -72,6 +72,7 @@ struct RunResult {
   storage::OpBreakdown avg_breakdown;  // server-side, per op
   double server_cpu_util = 0.0;        // busy fraction of the server core
   u64 server_errors = 0;
+  u64 get_mismatches = 0;    // 200 GET bodies that differ from the key's value
   u64 retransmits_hint = 0;  // fabric drops (loss experiments)
 
   // Shard-load spread over the measurement window: requests dispatched
@@ -173,6 +174,7 @@ struct OpenLoopResult {
   double kreq_per_s = 0.0;
   double offered_krps = 0.0;  // arrivals over the window, for comparison
   u64 errors = 0;
+  u64 get_mismatches = 0;  // 200 GET bodies that differ from the key's value
   double server_cpu_util = 0.0;
 
   // Shard balance + rebalancer activity (see RunResult).

@@ -113,6 +113,10 @@ void OpenLoopClient::on_readable(ConnCtx& ctx) {
       http_errors_++;
       obs::inc(m_http_errors_);
     }
+    if (ctx.in_flight && !ctx.current_is_put && resp->status == 200 &&
+        resp->body != value_for(ctx.current_key)) {
+      get_mismatches_++;
+    }
     if (ctx.in_flight) {
       const SimTime sojourn = env.now() - ctx.current_arrival;
       sojourn_.add(static_cast<double>(sojourn));

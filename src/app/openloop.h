@@ -13,6 +13,8 @@
 // *sojourn time* — arrival to response, including the time spent queued
 // client-side — which is what a user experiences, and each request
 // carries a deadline; responses later than deadline_ns count as misses.
+// Values are deterministic per key (value_for), so every 200 GET body is
+// checked against the expected value without charging simulated time.
 //
 // One OpenLoopClient drives one client host. The u16 ephemeral-port
 // space caps a host at ~32k connections; bench_openloop shards bigger
@@ -64,12 +66,15 @@ class OpenLoopClient {
   [[nodiscard]] u64 completed() const noexcept { return completed_; }
   [[nodiscard]] u64 deadline_misses() const noexcept { return misses_; }
   [[nodiscard]] u64 http_errors() const noexcept { return http_errors_; }
+  // 200 GET responses whose body is not value_for(key).
+  [[nodiscard]] u64 get_mismatches() const noexcept { return get_mismatches_; }
   void reset_stats() {
     sojourn_.clear();
     arrivals_ = 0;
     completed_ = 0;
     misses_ = 0;
     http_errors_ = 0;
+    get_mismatches_ = 0;
   }
 
  private:
@@ -99,6 +104,7 @@ class OpenLoopClient {
   u64 completed_ = 0;
   u64 misses_ = 0;
   u64 http_errors_ = 0;
+  u64 get_mismatches_ = 0;
   bool stopped_ = false;
   obs::Counter* m_arrivals_ = nullptr;
   obs::Counter* m_completed_ = nullptr;

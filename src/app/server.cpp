@@ -378,15 +378,20 @@ void KvServer::on_readable(net::TcpConn& conn) {
   dispatch(conn, st);
 }
 
-KvServer::Shard* KvServer::find_pkt_shard(std::string_view key, u32 home) {
+KvServer::PktHit KvServer::find_pkt_shard(std::string_view key, u32 home) {
   // RSS flow affinity puts a key's writes in its writer's ingress shard,
   // so the home shard hits in the common case; the fallback sweep keeps
   // reads correct when another connection wrote the key.
-  if (shards_[home].pktstore->stat(key).ok()) return &shards_[home];
-  for (u32 i = 0; i < shards_.size(); i++) {
-    if (i != home && shards_[i].pktstore->stat(key).ok()) return &shards_[i];
+  if (const auto head = shards_[home].pktstore->find(key); head.ok()) {
+    return {&shards_[home], head.value()};
   }
-  return nullptr;
+  for (u32 i = 0; i < shards_.size(); i++) {
+    if (i == home) continue;
+    if (const auto head = shards_[i].pktstore->find(key); head.ok()) {
+      return {&shards_[i], head.value()};
+    }
+  }
+  return {};
 }
 
 bool KvServer::admin_dispatch(net::TcpConn& conn, ConnState& st) {
@@ -493,7 +498,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   storage::OpBreakdown* bdp = cfg_.collect_breakdown ? &bd : nullptr;
   int status = 200;
   std::vector<u8> resp_body;
-  Shard* zero_copy_shard = nullptr;
+  PktHit zero_copy;
   // Replication forwarding state (pktstore mutations with a Replicator
   // attached): the value's gather ranges, captured where the PUT path
   // has them in hand.
@@ -663,9 +668,10 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
       } else if (st.method == http::Method::get) {
         if (st.key.starts_with("/scan/")) {
           resp_body = scan_response(st.key);
-        } else if (Shard* owner = find_pkt_shard(st.key, st.shard)) {
-          owner->pktstore->set_batched(batched);
-          zero_copy_shard = owner;
+        } else if (const PktHit hit = find_pkt_shard(st.key, st.shard);
+                   hit.shard != nullptr) {
+          hit.shard->pktstore->set_batched(batched);
+          zero_copy = hit;
         } else {
           status = 404;
         }
@@ -718,8 +724,8 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
       (st.method == http::Method::del || repl_put_ok);
   {
     auto tx_span = tr.span(obs::Stage::tx);
-    if (zero_copy_shard != nullptr) {
-      respond_value_zero_copy(conn, *zero_copy_shard, st.key);
+    if (zero_copy.shard != nullptr) {
+      respond_value_zero_copy(conn, zero_copy);
     } else if (replicate) {
       // Quorum-gated ack: the client hears 201/204 only once the write
       // is locally durable AND a quorum of hosts holds it (or the
@@ -842,26 +848,25 @@ void KvServer::respond(net::TcpConn& conn, int status,
   (void)conn.send(http::serialize(resp));
 }
 
-void KvServer::respond_value_zero_copy(net::TcpConn& conn, Shard& sh,
-                                       std::string_view key) {
+void KvServer::respond_value_zero_copy(net::TcpConn& conn, const PktHit& hit) {
   auto& env = host_.env();
   env.clock().advance(env.cost.scaled(env.cost.server_http_build_ns));
-  const auto st = sh.pktstore->stat(key);
-  // Headers go through the copying send (they are tiny)...
+  const core::PktStore& store = *hit.shard->pktstore;
   const std::string head = "HTTP/1.1 200 OK\r\nContent-Length: " +
-                           std::to_string(st->len) + "\r\n\r\n";
-  (void)conn.send(std::span<const u8>(
-      reinterpret_cast<const u8*>(head.data()), head.size()));
-  // ...the value leaves as frag-backed packets, zero copy (§4.2).
-  auto pkts = sh.pktstore->get_as_pkts(key);
-  if (!pkts.ok()) return;
-  for (net::PktBuf* pb : pkts.value()) {
-    if (!conn.send_pkt(pb).ok()) {
-      // Window full; closed-loop benches never hit this.
-      errors_++;
-      obs::inc(sh.m_errors);
-    }
+                           std::to_string(store.value_len(hit.head)) +
+                           "\r\n\r\n";
+  // The head rides in the first segment; the value leaves as frags over
+  // the stored buffers, zero copy (§4.2).
+  auto pkts = store.get_as_pkts(
+      hit.head, std::span<const u8>(reinterpret_cast<const u8*>(head.data()),
+                                    head.size()));
+  if (!pkts.ok()) {
+    errors_++;
+    obs::inc(hit.shard->m_errors);
+    respond(conn, 500);
+    return;
   }
+  for (net::PktBuf* pb : pkts.value()) (void)conn.send_pkt(pb);
 }
 
 }  // namespace papm::app

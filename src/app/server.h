@@ -280,12 +280,16 @@ class KvServer {
                      u64 req, int status);
   void dispatch(net::TcpConn& conn, ConnState& st);
   // GET routing: the shard holding `key`, preferring `home` (the ingress
-  // shard, where RSS puts all of the key's PUTs from this client).
-  [[nodiscard]] Shard* find_pkt_shard(std::string_view key, u32 home);
+  // shard, where RSS puts all of the key's PUTs from this client), with
+  // the chain head its index search found (shard null on a miss).
+  struct PktHit {
+    Shard* shard = nullptr;
+    u64 head = 0;
+  };
+  [[nodiscard]] PktHit find_pkt_shard(std::string_view key, u32 home);
   [[nodiscard]] std::vector<u8> scan_response(std::string_view target);
   void respond(net::TcpConn& conn, int status, std::span<const u8> body = {});
-  void respond_value_zero_copy(net::TcpConn& conn, Shard& sh,
-                               std::string_view key);
+  void respond_value_zero_copy(net::TcpConn& conn, const PktHit& hit);
 
   Host& host_;
   ServerConfig cfg_;

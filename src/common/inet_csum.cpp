@@ -31,6 +31,18 @@ u16 inet_checksum(std::span<const u8> data) noexcept {
   return static_cast<u16>(~inet_fold(inet_sum(data)));
 }
 
+namespace {
+// Byte-swap a folded 16-bit ones'-complement sum (odd-offset adjustment).
+constexpr u16 swap16(u16 v) noexcept {
+  return static_cast<u16>((v << 8) | (v >> 8));
+}
+}  // namespace
+
+u16 inet_sum_at(std::span<const u8> chunk, std::size_t offset) noexcept {
+  const u16 s = inet_fold(inet_sum(chunk));
+  return offset % 2 != 0 ? swap16(s) : s;
+}
+
 u16 inet_csum_concat(u16 csum_a, std::size_t len_a, u16 csum_b,
                      std::size_t len_b) noexcept {
   (void)len_b;
@@ -52,21 +64,13 @@ u16 inet_csum_update(u16 old_csum, u16 old_word, u16 new_word) noexcept {
   return static_cast<u16>(~inet_fold(sum));
 }
 
-namespace {
-// Byte-swap a folded 16-bit ones'-complement sum (odd-offset adjustment).
-constexpr u16 swap16(u16 v) noexcept {
-  return static_cast<u16>((v << 8) | (v >> 8));
-}
-}  // namespace
-
 u16 inet_csum_slice(std::span<const u8> full, u16 full_csum, std::size_t a,
                     std::size_t b) noexcept {
   // total = prefix +' shift_a(slice) +' shift_b(suffix), where shift_k
   // swaps bytes when offset k is odd. Solve for slice.
   const u16 total = inet_fold(static_cast<u16>(~full_csum));
-  u16 prefix = inet_fold(inet_sum(full.first(a)));
-  u16 suffix = inet_fold(inet_sum(full.subspan(b)));
-  if (b % 2 != 0) suffix = swap16(suffix);
+  const u16 prefix = inet_sum_at(full.first(a), 0);
+  const u16 suffix = inet_sum_at(full.subspan(b), b);
   // slice_shifted = total -' prefix -' suffix
   u32 s = total;
   s += static_cast<u16>(~prefix);

@@ -23,6 +23,12 @@ namespace papm {
   return static_cast<u16>(sum);
 }
 
+// Folded sum of a chunk that sits at byte `offset` of a larger block:
+// byte-swapped when the offset is odd (RFC 1071 s.2(B)), so the sums of
+// consecutive chunks of any lengths add up to the sum of the whole block.
+[[nodiscard]] u16 inet_sum_at(std::span<const u8> chunk,
+                              std::size_t offset) noexcept;
+
 // Final checksum of a buffer: folded, inverted.
 [[nodiscard]] u16 inet_checksum(std::span<const u8> data) noexcept;
 

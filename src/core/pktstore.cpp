@@ -194,12 +194,14 @@ Result<std::vector<u8>> PktStore::get(std::string_view key) const {
   return chain_.read(head.value());
 }
 
+Result<u64> PktStore::find(std::string_view key) const {
+  return index_.get(key);
+}
+
 Result<std::vector<net::PktBuf*>> PktStore::get_as_pkts(
-    std::string_view key) const {
+    u64 head, std::span<const u8> prefix) const {
   obs::inc(m_gets_);
-  const auto head = index_.get(key);
-  if (!head.ok()) return head.errc();
-  return chain_.emit_pkts(head.value());
+  return chain_.emit_pkts(head, prefix);
 }
 
 PktStore::ValueMeta PktStore::stat_of(u64 head) const {

@@ -88,10 +88,21 @@ class PktStore {
   // Copy-out read, checksum-verified.
   [[nodiscard]] Result<std::vector<u8>> get(std::string_view key) const;
 
-  // Zero-copy read for transmission: frag-backed packets over the stored
-  // buffers, ready for TcpConn::send_pkt (after HTTP header prepend).
+  // One index search: the head metadata of `key`'s chain. The zero-copy
+  // read path sends from this handle without searching again.
+  [[nodiscard]] Result<u64> find(std::string_view key) const;
+
+  // Whole-value length of the chain at `head` (its head's total_len).
+  [[nodiscard]] u64 value_len(u64 head) const {
+    return chain_.meta(head)->total_len;
+  }
+
+  // Zero-copy read for transmission from a found head: `prefix` (the
+  // HTTP response head, at most kMss bytes) in the first packet's linear
+  // area, the stored bytes as frags, packed to full segments — ready for
+  // TcpConn::send_pkt (PChain::emit_pkts).
   [[nodiscard]] Result<std::vector<net::PktBuf*>> get_as_pkts(
-      std::string_view key) const;
+      u64 head, std::span<const u8> prefix = {}) const;
 
   struct ValueMeta {
     u64 len;

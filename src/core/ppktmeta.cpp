@@ -259,34 +259,58 @@ Status PChain::verify(u64 head) const {
   return Errc::ok;
 }
 
-Result<std::vector<net::PktBuf*>> PChain::emit_pkts(u64 head) const {
+Result<std::vector<net::PktBuf*>> PChain::emit_pkts(
+    u64 head, std::span<const u8> prefix) const {
+  if (prefix.size() > net::kMss) return Errc::invalid_argument;
+  auto& env = dev_->env();
   std::vector<net::PktBuf*> out;
+  const auto fail = [&](Errc e) {
+    for (auto* p : out) net::PktBufPool::release(p);
+    return e;
+  };
+  u32 room = 0;  // payload bytes the open packet can still take
+  // Opens the next packet: header room plus `linear` copied behind it.
+  const auto open = [&](std::span<const u8> linear, i64 hw_tstamp) {
+    const u32 len = static_cast<u32>(net::kAllHdrLen + linear.size());
+    net::PktBuf* pb = pktpool_->alloc(len);
+    if (pb == nullptr) return false;
+    pb->len = len;
+    pb->payload_off = static_cast<u16>(net::kAllHdrLen);
+    pb->hw_tstamp = hw_tstamp;
+    if (!linear.empty()) {
+      std::memcpy(pktpool_->writable(*pb, len).data() + net::kAllHdrLen,
+                  linear.data(), linear.size());
+      pktpool_->arena().mark_dirty(pb->data_h + net::kAllHdrLen,
+                                   linear.size());
+    }
+    room = static_cast<u32>(net::kMss - linear.size());
+    out.push_back(pb);
+    return true;
+  };
+
+  const PPktMeta* h = meta(head);
+  if (h->magic != PPktMeta::kMagic) return Errc::corrupted;
+  if (!prefix.empty()) env.clock().advance(env.cost.copy_cost(prefix.size()));
+  if (!open(prefix, h->hw_tstamp)) return fail(Errc::out_of_space);
+  // One pass over the chain: each element's bytes ride as frags, packed
+  // up to kMss of payload and kMaxFrags frags per packet; an element that
+  // crosses a packet boundary is split between the two packets.
   for (u64 at = head; at != 0;) {
     const PPktMeta* m = meta(at);
-    if (m->magic != PPktMeta::kMagic) {
-      for (auto* pb : out) pktpool_->free(pb);
-      return Errc::corrupted;
+    if (m->magic != PPktMeta::kMagic) return fail(Errc::corrupted);
+    u32 off = m->val_off;
+    u32 left = m->val_len;
+    while (left > 0) {
+      if (room == 0 || out.back()->nr_frags == net::PktBuf::kMaxFrags) {
+        if (!open({}, m->hw_tstamp)) return fail(Errc::out_of_space);
+      }
+      const u32 take = std::min(left, room);
+      (void)pktpool_->add_frag(*out.back(), m->data_off, take, off,
+                               m->data_cap);
+      off += take;
+      left -= take;
+      room -= take;
     }
-    // Linear part: header room only; value rides as a frag (no copy).
-    net::PktBuf* pb = pktpool_->alloc(static_cast<u32>(net::kAllHdrLen));
-    if (pb == nullptr) {
-      for (auto* p : out) pktpool_->free(p);
-      return Errc::out_of_space;
-    }
-    pb->len = static_cast<u32>(net::kAllHdrLen);
-    pb->payload_off = static_cast<u16>(net::kAllHdrLen);
-    pb->hw_tstamp = m->hw_tstamp;
-    if (static_cast<CsumKind>(m->csum_kind) == CsumKind::inet16) {
-      pb->payload_csum = m->csum16;
-    }
-    const Status st =
-        pktpool_->add_frag(*pb, m->data_off, m->val_len, m->val_off, m->data_cap);
-    if (!st.ok()) {
-      pktpool_->free(pb);
-      for (auto* p : out) pktpool_->free(p);
-      return st.errc();
-    }
-    out.push_back(pb);
     at = m->next;
   }
   return out;

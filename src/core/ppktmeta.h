@@ -86,9 +86,14 @@ class PChain {
   // mismatch, ok when no checksum was stored.
   [[nodiscard]] Status verify(u64 head) const;
 
-  // Builds a TX-ready packet per chain element: linear header room plus a
-  // frag pointing at the stored bytes — zero copy (TSO-style emission).
-  [[nodiscard]] Result<std::vector<net::PktBuf*>> emit_pkts(u64 head) const;
+  // Builds the TX-ready packets of the value: header room, then `prefix`
+  // (at most kMss bytes, e.g. an HTTP response head) copied into the
+  // first packet's linear area, then the stored bytes as frags — zero
+  // copy. Packets are packed to kMss of payload and PktBuf::kMaxFrags
+  // frags, splitting chain elements across packet boundaries, so the
+  // count is ceil((prefix + value) / kMss) unless the frag limit binds.
+  [[nodiscard]] Result<std::vector<net::PktBuf*>> emit_pkts(
+      u64 head, std::span<const u8> prefix = {}) const;
 
   // Frees every metadata block and drops the data references.
   void free_chain(u64 head);

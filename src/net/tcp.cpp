@@ -214,16 +214,19 @@ void TcpStack::output_pkt(TcpConn& c, PktBuf* pb, u8 flags, u32 seq, u32 ack,
   if (!opts_.csum_offload_tx) {
     // Software checksumming: charge per byte covered; gather frag bytes.
     env_.clock().advance(env_.cost.inet_csum_cost(kTcpHdrLen + payload_len));
+    // The linear part and the frags are summed chunk by chunk, each at
+    // its offset within the segment, so odd-length chunks gather right.
     u32 sum = tcp_pseudo_sum(ip.src, ip.dst, kTcpHdrLen + payload_len);
-    sum += inet_sum({base + pb->l4_off, kTcpHdrLen});
-    sum += inet_sum({base + kAllHdrLen, static_cast<std::size_t>(pb->len) - kAllHdrLen});
+    std::size_t at = 0;
+    const auto gather = [&](std::span<const u8> chunk) {
+      sum += inet_sum_at(chunk, at);
+      at += chunk.size();
+    };
+    gather({base + pb->l4_off, pb->len - pb->l4_off});
     for (int i = 0; i < pb->nr_frags; i++) {
       const auto& fr = pb->frags[i];
-      // Linear part and every frag here have even lengths in practice;
-      // odd-length middle chunks would need RFC 1071 swap handling.
-      sum += inet_sum({pb->owner->arena().data(fr.data_h, fr.off + fr.len) +
-                           fr.off,
-                       fr.len});
+      gather({pb->owner->arena().data(fr.data_h, fr.off + fr.len) + fr.off,
+              fr.len});
     }
     const u16 csum = static_cast<u16>(~inet_fold(sum));
     base[pb->l4_off + 16] = static_cast<u8>(csum >> 8);
@@ -485,26 +488,20 @@ Status TcpConn::send_pkt(PktBuf* pb) {
   }
   if (!snd_buf_.empty() || fin_queued_) {
     PktBufPool::release(pb);
-    return Errc::would_block;  // cannot interleave with buffered bytes
+    return Errc::would_block;  // packets never overtake buffered bytes
   }
-  const u32 len = static_cast<u32>(pb->payload_total());
-  if (len > kMss) {
+  if (pb->payload_total() > kMss) {
     PktBufPool::release(pb);
     return Errc::too_large;  // caller segments via gso first
   }
-  const u32 inflight = snd_nxt_ - snd_una_;
-  if (inflight + len > std::min(cwnd_, snd_wnd_)) {
-    PktBufPool::release(pb);
-    return Errc::would_block;  // zero-copy path does not buffer
+  pb->next = nullptr;
+  if (snd_pkts_tail_ != nullptr) {
+    snd_pkts_tail_->next = pb;
+  } else {
+    snd_pkts_head_ = pb;
   }
-  const u32 seq = snd_nxt_;
-  snd_nxt_ += len;
-  snd_buf_seq_ = snd_nxt_;
-  PktBuf* clone = nullptr;
-  stack_->charge_tx();
-  stack_->output_pkt(*this, pb, kTcpAck | kTcpPsh, seq, rcv_nxt_, &clone);
-  rtx_q_.push_back({clone, seq, len, kTcpAck | kTcpPsh, stack_->env().now(), false});
-  arm_rto();
+  snd_pkts_tail_ = pb;
+  try_send();
   return Errc::ok;
 }
 
@@ -514,6 +511,27 @@ void TcpConn::try_send() {
     return;
   }
   const u32 wnd = std::min(cwnd_, snd_wnd_);
+  // Accepted zero-copy packets go first, in order, as the window opens.
+  // A packet cannot be split, so with nothing in flight the head packet
+  // goes out whole even past a small window: its ACK reports the window
+  // again (the persist-probe role of the one-byte probe below).
+  while (PktBuf* pb = snd_pkts_head_) {
+    const u32 len = static_cast<u32>(pb->payload_total());
+    const u32 inflight = snd_nxt_ - snd_una_;
+    if (inflight != 0 && inflight + len > wnd) return;
+    snd_pkts_head_ = pb->next;
+    if (snd_pkts_head_ == nullptr) snd_pkts_tail_ = nullptr;
+    pb->next = nullptr;
+    const u32 seq = snd_nxt_;
+    snd_nxt_ += len;
+    snd_buf_seq_ = snd_nxt_;
+    PktBuf* clone = nullptr;
+    stack_->charge_tx();
+    stack_->output_pkt(*this, pb, kTcpAck | kTcpPsh, seq, rcv_nxt_, &clone);
+    rtx_q_.push_back(
+        {clone, seq, len, kTcpAck | kTcpPsh, stack_->env().now(), false});
+    arm_rto();
+  }
   while (!snd_buf_.empty()) {
     const u32 inflight = snd_nxt_ - snd_una_;
     if (inflight >= wnd) break;
@@ -651,6 +669,11 @@ void TcpConn::become_closed() {
   rto_generation_++;  // cancel timers
   for (auto& e : rtx_q_) PktBufPool::release(e.clone);
   rtx_q_.clear();
+  while (PktBuf* p = snd_pkts_head_) {
+    snd_pkts_head_ = p->next;
+    PktBufPool::release(p);
+  }
+  snd_pkts_tail_ = nullptr;
   while (PktBuf* p = ooo_tree_.first()) {
     ooo_tree_.erase(*p);
     PktBufPool::release(p);

@@ -107,8 +107,10 @@ class TcpConn {
   Status send(std::span<const u8> data);
 
   // Zero-copy transmit: the stack takes ownership of a fully payload-
-  // bearing PktBuf whose data is already in the host arena (PASTE-style
-  // TX; pktstore uses this to emit stored packets without copies).
+  // bearing PktBuf (at most kMss of payload) whose data is already in the
+  // host arena (PASTE-style TX; pktstore uses this to emit stored packets
+  // without copies). Packets beyond the window queue in order and leave
+  // as ACKs open it; bytes sent later queue behind them.
   Status send_pkt(PktBuf* pb);
 
   // Copying read: drains up to out.size() in-order payload bytes.
@@ -172,6 +174,10 @@ class TcpConn {
   u32 dup_acks_ = 0;
   bool fin_queued_ = false;
   bool fin_sent_ = false;
+  // Accepted zero-copy packets not yet sent: a FIFO linked through
+  // PktBuf::next, the socket-queue linkage (no allocation per conn).
+  PktBuf* snd_pkts_head_ = nullptr;
+  PktBuf* snd_pkts_tail_ = nullptr;
   std::deque<u8> snd_buf_;  // unsent bytes; snd_nxt_ marks the boundary
   u32 snd_buf_seq_ = 0;     // seq of snd_buf_.front()
 

@@ -125,6 +125,84 @@ TEST(Harness, PktStoreGetZeroCopyWorkload) {
   EXPECT_GT(r.ops, 500u);
   EXPECT_LT(static_cast<double>(r.server_errors) / static_cast<double>(r.ops),
             0.05);
+  EXPECT_EQ(r.get_mismatches, 0u);  // the client checks every GET body
+}
+
+// Every GET body the client receives is the key's value, whatever the
+// value size: below, at and just past one segment beside the response
+// head, and multi-segment. 24000 and 65536 B exceed the initial
+// congestion window: their zero-copy segments beyond it must queue until
+// ACKs open it, or the response is truncated and the closed loop stalls.
+class PktStoreGetSizes : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PktStoreGetSizes, BodiesMatchValues) {
+  auto cfg = base_config(Backend::pktstore);
+  cfg.value_size = GetParam();
+  cfg.get_ratio = 0.5;
+  cfg.keyspace = 8;
+  const auto r = run_experiment(cfg);
+  EXPECT_GT(r.ops, 100u);
+  EXPECT_LT(static_cast<double>(r.server_errors) / static_cast<double>(r.ops),
+            0.05);
+  EXPECT_EQ(r.get_mismatches, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, PktStoreGetSizes,
+                         ::testing::Values(1, 511, 1407, 1408, 1448, 1449,
+                                           4000, 24000, 65536));
+
+// A 512 B GET answers in one TCP segment: the response head rides in the
+// segment that carries the value, and the request's ACK rides on it too.
+TEST(PktStoreGet, SmallValueLeavesInOneSegment) {
+  sim::Env env;
+  nic::Fabric fabric(env);
+  HostConfig scfg;
+  scfg.ip = 2;
+  scfg.cores = 1;
+  scfg.busy_poll = true;
+  scfg.pm_backed = true;
+  Host server(env, fabric, scfg);
+  HostConfig ccfg;
+  ccfg.ip = 1;
+  ccfg.cores = 0;
+  Host client(env, fabric, ccfg);
+
+  ServerConfig sc;
+  sc.backend = Backend::pktstore;
+  KvServer srv(server, sc);
+  const std::vector<u8> value(512, 0x5a);
+  ASSERT_TRUE(srv.prime("k", value));
+
+  net::TcpConn* conn = client.stack().connect(2, 9000);
+  http::ResponseParser parser;
+  std::optional<http::Response> last;
+  conn->on_readable = [&](net::TcpConn& c) {
+    std::vector<u8> buf(8192);
+    std::size_t n;
+    while ((n = c.read(buf)) > 0) {
+      auto r = parser.feed(std::span<const u8>(buf.data(), n));
+      if (r.has_value()) last = std::move(r);
+    }
+  };
+  env.engine.run_until_idle();
+  ASSERT_EQ(conn->state(), net::TcpState::established);
+
+  constexpr int kGets = 20;
+  const u64 tx_before = server.stack().segments_tx();
+  for (int i = 0; i < kGets; i++) {
+    last.reset();
+    http::Request req;
+    req.method = http::Method::get;
+    req.target = "/kv/k";
+    (void)conn->send(http::serialize(req));
+    env.engine.run_until_idle();
+    ASSERT_TRUE(last.has_value());
+    ASSERT_EQ(last->status, 200);
+    ASSERT_EQ(last->body, value);
+  }
+  EXPECT_DOUBLE_EQ(
+      static_cast<double>(server.stack().segments_tx() - tx_before) / kGets,
+      1.0);
 }
 
 TEST(Harness, HomaLikeTransportShrinksNetworkingShare) {

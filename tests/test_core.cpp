@@ -228,7 +228,7 @@ TEST_F(PktStoreTest, PutBytesPath) {
 TEST_F(PktStoreTest, EmitPktsZeroCopyRoundTrip) {
   const auto value = rand_bytes(4000, 6);
   ASSERT_TRUE(store.put_bytes("emit", value).ok());
-  auto pkts = store.get_as_pkts("emit");
+  auto pkts = store.get_as_pkts(store.find("emit").value());
   ASSERT_TRUE(pkts.ok());
   std::vector<u8> assembled;
   for (PktBuf* pb : pkts.value()) {
@@ -240,6 +240,86 @@ TEST_F(PktStoreTest, EmitPktsZeroCopyRoundTrip) {
   EXPECT_EQ(assembled, value);
   // Freeing the emitted packets must not free the stored data.
   EXPECT_EQ(store.get("emit").value(), value);
+}
+
+// Stores `value` as a chain whose elements have the given sizes (one
+// packet per element, as put_pkts ingests a multi-segment request).
+void put_chain(PmRig& rig, PktStore& store, std::string_view key,
+               std::span<const u8> value, std::span<const u32> sizes) {
+  std::vector<PktBuf*> pkts;
+  std::vector<u32> offs;
+  std::size_t at = 0;
+  for (const u32 n : sizes) {
+    PktBuf* pb = rig.pool.alloc(static_cast<u32>(net::kAllHdrLen + n));
+    ASSERT_NE(pb, nullptr);
+    pb->len = static_cast<u32>(net::kAllHdrLen + n);
+    pb->payload_off = static_cast<u16>(net::kAllHdrLen);
+    std::memcpy(rig.pool.writable(*pb, pb->len).data() + net::kAllHdrLen,
+                value.data() + at, n);
+    pkts.push_back(pb);
+    offs.push_back(static_cast<u32>(net::kAllHdrLen));
+    at += n;
+  }
+  ASSERT_EQ(at, value.size());
+  ASSERT_TRUE(store.put_pkts(key, pkts, offs, sizes).ok());
+  for (auto* pb : pkts) rig.pool.free(pb);
+}
+
+TEST_F(PktStoreTest, EmitPacksPrefixAndValueIntoFullSegments) {
+  // Chains of full-MSS elements, of odd-sized elements (each >= kMss/3,
+  // so no segment can need more than kMaxFrags frags), and of tiny
+  // elements (where the frag limit binds), behind prefixes up to kMss.
+  struct Chain {
+    const char* key;
+    std::vector<u32> sizes;
+    bool frag_limit_binds;
+  };
+  const u32 mss = static_cast<u32>(net::kMss);
+  const std::vector<Chain> chains = {
+      {"mss", {mss, mss, mss, mss}, false},
+      {"odd", {1001, 487, 1459, 733, 555, 999, 1}, false},
+      {"tiny", std::vector<u32>(40, 37), true},
+  };
+  u64 seed = 100;
+  for (const Chain& c : chains) {
+    u32 total = 0;
+    for (const u32 n : c.sizes) total += n;
+    const auto value = rand_bytes(total, seed++);
+    put_chain(rig, store, c.key, value, c.sizes);
+    for (const std::size_t plen : {0u, 40u, 41u, 1448u, mss}) {
+      SCOPED_TRACE(std::string(c.key) + " prefix " + std::to_string(plen));
+      const auto prefix = rand_bytes(plen, seed++);
+      auto pkts = store.get_as_pkts(store.find(c.key).value(), prefix);
+      ASSERT_TRUE(pkts.ok());
+      std::vector<u8> assembled;
+      for (PktBuf* pb : pkts.value()) {
+        EXPECT_LE(pb->payload_total(), net::kMss);
+        EXPECT_LE(pb->nr_frags, PktBuf::kMaxFrags);
+        const auto bytes = net::super_payload(rig.pool, *pb);
+        assembled.insert(assembled.end(), bytes.begin(), bytes.end());
+        rig.pool.free(pb);
+      }
+      std::vector<u8> want = prefix;
+      want.insert(want.end(), value.begin(), value.end());
+      EXPECT_EQ(assembled, want);
+      const std::size_t full = (plen + total + mss - 1) / mss;
+      if (c.frag_limit_binds) {
+        EXPECT_GT(pkts->size(), full);
+      } else {
+        EXPECT_EQ(pkts->size(), full);
+      }
+    }
+    // The emitted packets shared the stored bytes; freeing them leaves
+    // the value intact.
+    EXPECT_EQ(store.get(c.key).value(), value);
+  }
+}
+
+TEST_F(PktStoreTest, EmitRejectsPrefixBeyondOneSegment) {
+  ASSERT_TRUE(store.put_bytes("k", rand_bytes(10, 9)).ok());
+  const auto prefix = rand_bytes(net::kMss + 1, 10);
+  EXPECT_EQ(store.get_as_pkts(store.find("k").value(), prefix).errc(),
+            Errc::invalid_argument);
 }
 
 TEST_F(PktStoreTest, OverwriteReplacesAndFreesOldChain) {

@@ -541,6 +541,102 @@ TEST_F(TcpE2E, ZeroCopySendPkt) {
   EXPECT_EQ(got, payload);
 }
 
+TEST_F(TcpE2E, SoftwareTxChecksumOverOddLengthChunks) {
+  // A zero-copy segment whose linear payload and first frag have odd
+  // lengths (a 41 B HTTP head, then stored value bytes split mid-chunk):
+  // the software TX checksum must gather them at their segment offsets.
+  sim::Env env2;
+  nic::Fabric fabric2(env2);
+  nic::Nic::Options no_offload;
+  no_offload.csum_offload_tx = false;
+  no_offload.csum_offload_rx = false;
+  TestHost c2(env2, fabric2, kClientIp, false, no_offload);
+  TestHost s2(env2, fabric2, kServerIp, true, no_offload);
+
+  std::vector<u8> got;
+  ASSERT_TRUE(s2.stack
+                  .listen(kPort,
+                          [&](TcpConn& c) {
+                            c.on_readable = [&](TcpConn& cc) {
+                              std::vector<u8> buf(4096);
+                              std::size_t n;
+                              while ((n = cc.read(buf)) > 0) {
+                                got.insert(got.end(), buf.begin(),
+                                           buf.begin() + static_cast<long>(n));
+                              }
+                            };
+                          })
+                  .ok());
+  const auto head = rand_bytes(41, 81);
+  const auto frag_a = rand_bytes(1001, 82);
+  const auto frag_b = rand_bytes(300, 83);
+  TcpConn* c = c2.stack.connect(kServerIp, kPort);
+  c->on_established = [&](TcpConn& cc) {
+    PktBuf* pb = c2.pool.alloc(static_cast<u32>(kAllHdrLen + head.size()));
+    ASSERT_NE(pb, nullptr);
+    pb->len = static_cast<u32>(kAllHdrLen + head.size());
+    pb->payload_off = kAllHdrLen;
+    std::memcpy(c2.pool.writable(*pb, pb->len).data() + kAllHdrLen,
+                head.data(), head.size());
+    for (const auto* frag : {&frag_a, &frag_b}) {
+      // Stored bytes sit behind 3 B of other data in their block.
+      const u32 cap = static_cast<u32>(3 + frag->size());
+      auto h = c2.arena.alloc(cap);
+      ASSERT_TRUE(h.ok());
+      std::memcpy(c2.arena.data(h.value(), cap) + 3, frag->data(),
+                  frag->size());
+      ASSERT_TRUE(c2.pool
+                      .add_frag(*pb, h.value(),
+                                static_cast<u32>(frag->size()), 3, cap)
+                      .ok());  // the packet owns the block from here
+    }
+    EXPECT_TRUE(cc.send_pkt(pb).ok());
+  };
+  // Bounded: a segment that fails its checksum is retransmitted forever.
+  env2.engine.run_until(20 * kNsPerMs);
+  EXPECT_EQ(s2.stack.csum_failures(), 0u);
+  std::vector<u8> want = head;
+  want.insert(want.end(), frag_a.begin(), frag_a.end());
+  want.insert(want.end(), frag_b.begin(), frag_b.end());
+  EXPECT_EQ(got, want);
+}
+
+TEST_F(TcpE2E, ZeroCopySendsBeyondTheWindowQueueInOrder) {
+  // 64 zero-copy segments at once: far beyond the initial window. The
+  // ones that do not fit wait for ACKs instead of being dropped.
+  std::vector<u8> got;
+  ASSERT_TRUE(server.stack
+                  .listen(kPort,
+                          [&](TcpConn& c) {
+                            c.on_readable = [&](TcpConn& cc) {
+                              std::vector<u8> buf(4096);
+                              std::size_t n;
+                              while ((n = cc.read(buf)) > 0) {
+                                got.insert(got.end(), buf.begin(),
+                                           buf.begin() + static_cast<long>(n));
+                              }
+                            };
+                          })
+                  .ok());
+  const auto data = rand_bytes(64 * kMss, 91);
+  TcpConn* c = client.stack.connect(kServerIp, kPort);
+  c->on_established = [&](TcpConn& cc) {
+    for (std::size_t at = 0; at < data.size(); at += kMss) {
+      PktBuf* pb = client.pool.alloc(static_cast<u32>(kAllHdrLen + kMss));
+      ASSERT_NE(pb, nullptr);
+      pb->len = static_cast<u32>(kAllHdrLen + kMss);
+      pb->payload_off = kAllHdrLen;
+      std::memcpy(client.pool.writable(*pb, pb->len).data() + kAllHdrLen,
+                  data.data() + at, kMss);
+      EXPECT_TRUE(cc.send_pkt(pb).ok());
+    }
+    EXPECT_GT(cc.cwnd(), 0u);
+  };
+  env.engine.run_until(20 * kNsPerMs);
+  EXPECT_EQ(got, data);
+  EXPECT_EQ(c->rtx_queued(), 0u);
+}
+
 TEST_F(TcpE2E, GracefulCloseBothDirections) {
   bool server_closed = false, client_closed = false;
   TcpConn* srv_conn = nullptr;

@@ -169,6 +169,7 @@ TEST(ScalingServer, MixedReadWriteAcrossShardsServesCorrectValues) {
   EXPECT_GT(r.ops, 0u);
   EXPECT_LT(static_cast<double>(r.server_errors) / static_cast<double>(r.ops),
             0.1);
+  EXPECT_EQ(r.get_mismatches, 0u);
 }
 
 // --- Sharded pktstore recovery -----------------------------------------
