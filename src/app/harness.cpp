@@ -182,6 +182,8 @@ RunResult run_experiment(const RunConfig& cfg) {
   client_host.reset_obs();
   for (auto& node : replicas) node->trace().clear();
   const SimTime busy_before = server_host.cpu().busy_ns();
+  const u64 rtx_before =
+      server_host.tcp_retransmits() + client_host.tcp_retransmits();
 
   env.engine.run_until(cfg.warmup_ns + cfg.measure_ns);
   client.stop();
@@ -200,7 +202,9 @@ RunResult run_experiment(const RunConfig& cfg) {
       static_cast<double>(cfg.measure_ns * std::max(1, cfg.server_cores));
   r.server_errors = server.errors() + client.http_errors();
   r.get_mismatches = client.get_mismatches();
-  r.retransmits_hint = fabric.dropped();
+  r.fabric_drops = fabric.dropped();
+  r.tcp_retransmits =
+      server_host.tcp_retransmits() + client_host.tcp_retransmits() - rtx_before;
   for (u32 i = 0; i < server_host.datapaths(); i++) {
     r.shard_requests.push_back(server.shard_requests(i));
   }

@@ -73,7 +73,8 @@ struct RunResult {
   double server_cpu_util = 0.0;        // busy fraction of the server core
   u64 server_errors = 0;
   u64 get_mismatches = 0;    // 200 GET bodies that differ from the key's value
-  u64 retransmits_hint = 0;  // fabric drops (loss experiments)
+  u64 fabric_drops = 0;      // frames the fabric dropped (loss experiments)
+  u64 tcp_retransmits = 0;   // server + client TCP retransmits in the window
 
   // Shard-load spread over the measurement window: requests dispatched
   // per server shard, and max/mean of that vector (1.0 = perfectly even;

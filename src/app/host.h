@@ -143,6 +143,12 @@ class Host {
     return *shards_[shard].stack;
   }
   [[nodiscard]] pm::PmPool& pm_pool(u32 shard = 0) { return *shards_[shard].pm_pool; }
+  // TCP retransmissions (RTO and fast) over every shard's stack.
+  [[nodiscard]] u64 tcp_retransmits() const noexcept {
+    u64 n = 0;
+    for (const auto& sh : shards_) n += sh.stack->retransmits();
+    return n;
+  }
   [[nodiscard]] net::UdpStack& udp() noexcept { return *udp_; }
   [[nodiscard]] nic::Nic& nic() noexcept { return *nic_; }
   [[nodiscard]] bool pm_backed() const noexcept { return pm_dev_.has_value(); }

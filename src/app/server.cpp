@@ -117,11 +117,13 @@ KvServer::KvServer(Host& host, const ServerConfig& cfg)
                                              cfg.pkt_opts);
         break;
     }
-    // Group/epoch commit rides the stores' batcher hooks. The policy
-    // travels in StoreKnobs for both backends (pkt_opts carries no
-    // persistence policy of its own).
+    // Group/epoch commit rides the stores' batcher hooks; raw_persist
+    // persists through the batcher itself, so every persisting backend
+    // holds its acks the same way (Figure 2 compares like with like).
+    // The policy travels in StoreKnobs (pkt_opts carries no persistence
+    // policy of its own).
     if (pm::kGroupCommitCompiled && host_.pm_backed() &&
-        (cfg.backend == Backend::lsm || cfg.backend == Backend::pktstore)) {
+        cfg.backend != Backend::discard) {
       sh.batcher.emplace(host_.pm_device(), cfg.knobs.group_commit);
       sh.batcher->register_pool(host_.pm_pool(i));
       if (sh.store_pool.has_value()) sh.batcher->register_pool(*sh.store_pool);
@@ -547,7 +549,11 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
         }
         if (bdp != nullptr) bdp->copy_ns += env.now() - t0;
         const SimTime t1 = env.now();
-        dev.persist(sh.raw_region + sh.raw_off, st.body_len);
+        if (sh.batcher.has_value()) {
+          sh.batcher->persist(sh.raw_region + sh.raw_off, st.body_len);
+        } else {
+          dev.persist(sh.raw_region + sh.raw_off, st.body_len);
+        }
         if (bdp != nullptr) bdp->persist_ns += env.now() - t1;
         sh.raw_off += align_up(st.body_len, kCacheLine);
       }

@@ -3,8 +3,9 @@
 //
 //   discard      — parse and drop; measures the networking-only RTT
 //                  (Table 1 row 1).
-//   raw_persist  — copy the body into PM and flush; the Figure 2
-//                  "Net. + persist." application.
+//   raw_persist  — copy the body into PM and flush through the shard's
+//                  group-commit batcher; the Figure 2 "Net. + persist."
+//                  application.
 //   lsm          — the NoveLSM-like store with all data-management steps
 //                  (Figure 2 "Net. + data mgmt. + persist."), each step
 //                  toggleable via StoreKnobs for the Table 1 breakdown.

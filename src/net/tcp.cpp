@@ -9,8 +9,6 @@ namespace papm::net {
 namespace {
 
 constexpr u32 kWndShift = 5;  // fixed window scale (as if negotiated)
-constexpr SimTime kMinRto = 400 * kNsPerUs;
-constexpr SimTime kMaxRto = 20 * kNsPerMs;
 constexpr u32 kInitCwnd = 10 * kMss;
 constexpr u32 kInitSsthresh = 256 * 1024;
 
@@ -100,12 +98,14 @@ std::unique_ptr<TcpConn> TcpStack::extract(TcpConn* c) {
   if (it == conns_.end() || it->second.get() != c) return nullptr;
   std::unique_ptr<TcpConn> conn = std::move(it->second);
   conns_.erase(it);
+  std::erase_if(due_acks_, [c](const DueAck& d) { return d.conn == c; });
   return conn;
 }
 
 void TcpStack::adopt(std::unique_ptr<TcpConn> conn) {
   if (conn == nullptr) return;
   conn->stack_ = this;  // timers and TX resolve the new stack from here on
+  if (conn->ack_pending_) due_acks_.push_back({conn.get(), conn->ack_due_});
   const FlowKey key{conn->peer_ip_, conn->peer_port_, conn->local_port_};
   conns_.emplace(key, std::move(conn));
 }
@@ -114,7 +114,22 @@ void TcpStack::rx(PktBuf* pb) {
   run_cpu([&] { rx_locked(pb); });
 }
 
+void TcpStack::send_due_acks() {
+  const SimTime now = env_.now();
+  while (!due_acks_.empty() && due_acks_.front().due <= now) {
+    const DueAck d = due_acks_.front();
+    due_acks_.pop_front();
+    TcpConn& c = *d.conn;
+    if (!c.ack_pending_ || c.ack_due_ != d.due || c.state_ == TcpState::closed) {
+      continue;
+    }
+    charge_tx();
+    c.send_ctl(kTcpAck);
+  }
+}
+
 void TcpStack::rx_locked(PktBuf* pb) {
+  send_due_acks();
   segments_rx_++;
   obs::inc(m_seg_rx_);
 
@@ -241,7 +256,10 @@ void TcpStack::output_pkt(TcpConn& c, PktBuf* pb, u8 flags, u32 seq, u32 ack,
 
   if (rtx_clone != nullptr) *rtx_clone = pb->owner->clone(*pb);
 
-  c.ack_pending_ = false;  // every segment carries the current ack
+  // Every segment carries the current ack.
+  c.ack_pending_ = false;
+  c.ack_now_ = false;
+  c.rcv_wup_ = ack;
   segments_tx_++;
   obs::inc(m_seg_tx_);
   netif_.transmit(pb);
@@ -296,7 +314,8 @@ void TcpConn::rx(PktBuf* pb) {
         process_ack(h);
         enter_established();
         ack_pending_ = true;
-        maybe_send_pending_ack();
+        ack_now_ = true;
+        ack_now_or_delay();
       }
       PktBufPool::release(pb);
       return;
@@ -307,7 +326,7 @@ void TcpConn::rx(PktBuf* pb) {
         enter_established();
         if (pb->payload_len() > 0) {
           rx_data(pb);  // takes ownership
-          maybe_send_pending_ack();
+          ack_now_or_delay();
           return;
         }
       }
@@ -339,19 +358,20 @@ void TcpConn::rx(PktBuf* pb) {
   if (fin_received_ && rcv_nxt_ == fin_seq_) {
     rcv_nxt_ = fin_seq_ + 1;
     ack_pending_ = true;
+    ack_now_ = true;
     if (state_ == TcpState::established) {
       state_ = TcpState::close_wait;
       if (on_readable) on_readable(*this);  // EOF signal
     } else if (state_ == TcpState::fin_wait_1 || state_ == TcpState::fin_wait_2) {
       // Simultaneous/normal close; skip TIME_WAIT in simulation.
-      maybe_send_pending_ack();
+      ack_now_or_delay();
       become_closed();
       return;
     }
   }
 
   try_send();
-  maybe_send_pending_ack();
+  ack_now_or_delay();
 }
 
 void TcpConn::process_ack(const TcpHeader& h) {
@@ -362,6 +382,7 @@ void TcpConn::process_ack(const TcpHeader& h) {
 
   if (seq_gt(ack, snd_una_)) {
     dup_acks_ = 0;
+    const u32 acked = ack - snd_una_;
     while (!rtx_q_.empty()) {
       RtxEntry& e = rtx_q_.front();
       if (!seq_ge(ack, e.seq + logical_len(e.len, e.flags))) break;
@@ -371,11 +392,14 @@ void TcpConn::process_ack(const TcpHeader& h) {
       PktBufPool::release(e.clone);
       rtx_q_.pop_front();
     }
-    // Congestion window growth.
+    // Congestion window growth by bytes acked (RFC 3465), so an ACK
+    // that covers two segments grows cwnd as much as two ACKs would.
     if (cwnd_ < ssthresh_) {
-      cwnd_ += kMss;  // slow start
+      cwnd_ += std::min<u32>(acked, 2 * kMss);  // slow start, L = 2·SMSS
     } else {
-      cwnd_ += std::max<u32>(1, kMss * kMss / cwnd_);  // congestion avoidance
+      // Congestion avoidance: about one SMSS per cwnd of bytes acked.
+      cwnd_ += static_cast<u32>(
+          std::max<u64>(1, u64{kMss} * acked / cwnd_));
     }
     snd_una_ = ack;
     if (rtx_q_.empty()) {
@@ -402,6 +426,7 @@ void TcpConn::process_ack(const TcpHeader& h) {
       ssthresh_ = std::max(inflight / 2, static_cast<u32>(2 * kMss));
       cwnd_ = ssthresh_ + 3 * kMss;
       retransmits_++;
+      stack_->retransmits_++;
       obs::inc(stack_->m_rtx_);
       e.retransmitted = true;
       e.sent_at = stack_->env().now();
@@ -416,7 +441,15 @@ void TcpConn::process_ack(const TcpHeader& h) {
 void TcpConn::rx_data(PktBuf* pb) {
   const u32 seq = pb->tcp.seq;
   const u32 len = pb->payload_len();
+  if (!ack_pending_) {
+    ack_due_ = stack_->env().now() + kDelAckTimeout;
+    stack_->due_acks_.push_back({this, ack_due_});
+  }
   ack_pending_ = true;
+  // Only a segment that extends the in-order stream with no hole behind
+  // it may wait; every other case acks at once (RFC 5681 §4.2: the dup
+  // ACKs drive the sender's fast retransmit, the hole-fill ACK ends it).
+  ack_now_ = ack_now_ || seq != rcv_nxt_ || !ooo_tree_.empty();
 
   if (seq_le(seq + len, rcv_nxt_)) {
     PktBufPool::release(pb);  // complete duplicate
@@ -695,6 +728,7 @@ void TcpConn::on_rto() {
   if (rtx_q_.empty() || state_ == TcpState::closed) return;
   RtxEntry& e = rtx_q_.front();
   retransmits_++;
+  stack_->retransmits_++;
   obs::inc(stack_->m_rtx_);
   e.retransmitted = true;
   e.sent_at = stack_->env().now();
@@ -719,14 +753,43 @@ void TcpConn::update_rtt(SimTime sample) {
     rttvar_ = (3 * rttvar_ + err) / 4;
     srtt_ = (7 * srtt_ + sample) / 8;
   }
-  rto_ = std::clamp(srtt_ + std::max<SimTime>(kNsPerUs, 4 * rttvar_), kMinRto,
-                    kMaxRto);
+  // kMinRto floors the variance term, not the sum: the RTO always clears
+  // srtt by more than a delayed ACK can hold the peer's ACK.
+  rto_ = std::min(srtt_ + std::max(4 * rttvar_, kMinRto), kMaxRto);
 }
 
-void TcpConn::maybe_send_pending_ack() {
+void TcpConn::ack_now_or_delay() {
   if (!ack_pending_ || state_ == TcpState::closed) return;
-  stack_->charge_tx();
-  send_ctl(kTcpAck);
+  // RFC 1122: ack at least every second full-sized segment.
+  if (ack_now_ || rcv_nxt_ - rcv_wup_ >= 2 * kMss) {
+    stack_->charge_tx();
+    send_ctl(kTcpAck);
+    return;
+  }
+  arm_delack();
+}
+
+void TcpConn::arm_delack() {
+  if (delack_armed_) return;  // the armed timer re-checks ack_due_
+  delack_armed_ = true;
+  stack_->env().engine.schedule_in(ack_due_ - stack_->env().now(),
+                                   [this] { on_delack(); });
+}
+
+void TcpConn::on_delack() {
+  delack_armed_ = false;
+  // Nothing pending: a later segment carried the ACK. No CPU is charged.
+  if (!ack_pending_ || state_ == TcpState::closed) return;
+  // The ACK now pending is a newer one than the timer was armed for.
+  if (stack_->env().now() < ack_due_) {
+    arm_delack();
+    return;
+  }
+  // Charged to the owning stack at fire time (it may have migrated).
+  stack_->run_cpu([this] {
+    stack_->charge_tx();
+    send_ctl(kTcpAck);
+  });
 }
 
 }  // namespace papm::net

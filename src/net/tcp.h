@@ -3,6 +3,13 @@
 // Implements the stack features the paper's argument rests on (§4.1):
 //   * reliable delivery with cumulative ACKs, RTO (RFC 6298 estimation)
 //     and fast retransmit on three duplicate ACKs;
+//   * delayed ACKs (RFC 1122 §4.2.3.2, RFC 9293 §3.8.6.3): in-order data
+//     is acknowledged by the next segment we send, by the second full-
+//     sized segment, or at kDelAckTimeout, whichever comes first; out-of-
+//     order, duplicate and hole-filling segments, FIN and the handshake
+//     are acknowledged at once. The RTO floor (srtt + max(4·rttvar,
+//     kMinRto)) keeps a delayed ACK ahead of the peer's retransmit timer,
+//     and cwnd grows by bytes acked (RFC 3465), not by ACKs counted;
 //   * a retransmission queue of *clones* — data stays intact until
 //     acknowledged while lower layers release their metadata;
 //   * out-of-order reassembly in an intrusive red-black tree of PktBufs,
@@ -88,6 +95,16 @@ enum class TcpState {
   return "?";
 }
 
+// Retransmission timer bounds. kMinRto is the RTO's floor above the
+// smoothed RTT (Linux's tcp_rto_min rule), RFC 6298's 1 s scaled to
+// datacenter RTTs.
+inline constexpr SimTime kMinRto = 400 * kNsPerUs;
+inline constexpr SimTime kMaxRto = 20 * kNsPerMs;
+// Delayed-ACK bound: RFC 9293's 0.5 s against its 1 s minimum RTO, the
+// same ratio to ours. With the RTO floor above, a delayed ACK always
+// reaches the peer before its retransmit timer can fire.
+inline constexpr SimTime kDelAckTimeout = kMinRto / 2;
+
 class TcpStack;
 
 class TcpConn {
@@ -153,7 +170,11 @@ class TcpConn {
   void arm_rto();
   void on_rto();
   void update_rtt(SimTime sample);
-  void maybe_send_pending_ack();
+  // Sends the pending ACK now if a rule asks for it, else leaves it to
+  // the delayed-ACK timer.
+  void ack_now_or_delay();
+  void arm_delack();
+  void on_delack();
   void become_closed();
 
   // Owning stack; reseated by TcpStack::adopt when the connection
@@ -211,7 +232,17 @@ class TcpConn {
   u64 rto_generation_ = 0;
   bool rto_armed_ = false;
 
+  // Delayed ACK. ack_pending_: received data not yet acknowledged;
+  // ack_now_: a rule wants it acknowledged without delay. Every segment
+  // we send carries the ACK and clears both.
   bool ack_pending_ = false;
+  bool ack_now_ = false;
+  u32 rcv_wup_ = 0;      // ack field of the last segment sent
+  SimTime ack_due_ = 0;  // when the pending ACK must leave
+  // At most one delayed-ACK timer event is outstanding, so unlike the
+  // RTO timer it needs no generation count.
+  bool delack_armed_ = false;
+
   u64 retransmits_ = 0;
 };
 
@@ -295,6 +326,8 @@ class TcpStack {
   [[nodiscard]] u64 segments_rx() const noexcept { return segments_rx_; }
   [[nodiscard]] u64 segments_tx() const noexcept { return segments_tx_; }
   [[nodiscard]] u64 csum_failures() const noexcept { return csum_failures_; }
+  // RTO and fast retransmissions by every connection this stack served.
+  [[nodiscard]] u64 retransmits() const noexcept { return retransmits_; }
 
  private:
   friend class TcpConn;
@@ -322,6 +355,8 @@ class TcpStack {
   void charge_tx();
 
   void rx_locked(PktBuf* pb);  // runs under the host CPU scope
+  // Sends the delayed ACKs that fell due before this work item began.
+  void send_due_acks();
 
   sim::Env& env_;
   NetIf& netif_;
@@ -338,6 +373,18 @@ class TcpStack {
   u64 segments_rx_ = 0;
   u64 segments_tx_ = 0;
   u64 csum_failures_ = 0;
+  u64 retransmits_ = 0;
+
+  // Delayed ACKs in due order (one entry per pending ACK; an entry whose
+  // ACK already left, or was re-armed later, is skipped). A busy-polling
+  // stack checks its timers between packets, so a backlogged core sends
+  // a due ACK before its next segment; the connection's own timer covers
+  // an idle core.
+  struct DueAck {
+    TcpConn* conn;
+    SimTime due;
+  };
+  std::deque<DueAck> due_acks_;
 
   obs::Counter* m_seg_rx_ = nullptr;
   obs::Counter* m_seg_tx_ = nullptr;

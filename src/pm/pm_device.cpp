@@ -71,6 +71,7 @@ const u8* PmDevice::at(u64 offset, u64 len) const {
 }
 
 void PmDevice::store(u64 offset, std::span<const u8> data) {
+  if (data.empty()) return;
   check_range(offset, data.size());
   touch(offset, data.size());
   std::memcpy(mem_.get() + offset, data.data(), data.size());

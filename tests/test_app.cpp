@@ -223,9 +223,29 @@ TEST(Harness, LossyFabricStillCompletes) {
   cfg.fabric.loss_p = 0.005;
   const auto r = run_experiment(cfg);
   EXPECT_GT(r.ops, 200u);
-  EXPECT_GT(r.retransmits_hint, 0u);  // drops actually happened
-  EXPECT_EQ(r.server_errors, 0u);     // but no request was lost
+  EXPECT_GT(r.fabric_drops, 0u);     // drops actually happened
+  EXPECT_GT(r.tcp_retransmits, 0u);  // and TCP repaired them
+  EXPECT_EQ(r.server_errors, 0u);    // so no request was lost
 }
+
+// On a lossless fabric every retransmission is spurious. Under group
+// commit the server holds each PUT's response, so its ACK is delayed;
+// the delay bound and the RTO floor must keep the client's timer behind
+// that ACK at every load.
+class ZeroLossRetransmits : public ::testing::TestWithParam<int> {};
+
+TEST_P(ZeroLossRetransmits, NoneForPktStore) {
+  auto cfg = base_config(Backend::pktstore, GetParam());
+  cfg.measure_ns = 200 * kNsPerMs;
+  const auto r = run_experiment(cfg);
+  EXPECT_GT(r.ops, 1000u);
+  EXPECT_EQ(r.fabric_drops, 0u);
+  EXPECT_EQ(r.tcp_retransmits, 0u);
+  EXPECT_EQ(r.server_errors, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Conns, ZeroLossRetransmits,
+                         ::testing::Values(25, 50, 75, 100));
 
 TEST(Harness, LargeValuesSpanSegments) {
   auto cfg = base_config(Backend::pktstore);

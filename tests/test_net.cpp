@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -693,6 +694,361 @@ TEST_F(TcpE2E, RetransmissionClonesKeepDataIntact) {
   env.engine.run_until_idle();
   EXPECT_EQ(c->state(), TcpState::established);
   EXPECT_EQ(got, data);
+}
+
+// ---------- delayed ACK ----------
+
+// One segment as the receiving host's NIC hands it up.
+struct RxSeg {
+  SimTime at;
+  u16 port;  // the receiver's port
+  u32 seq;
+  u32 ack;
+  u32 len;
+  u8 flags;
+  [[nodiscard]] bool pure_ack() const { return len == 0 && flags == kTcpAck; }
+};
+
+// Logs every segment `h` receives, then passes it to `deliver` (default:
+// the host's stack), which may drop or duplicate it.
+void log_rx(TestHost& h, std::vector<RxSeg>& log,
+            std::function<void(PktBuf*)> deliver = nullptr) {
+  h.nic.set_sink([&h, &log, deliver](PktBuf* pb) {
+    log.push_back({h.stack.env().now(), pb->tcp.dst_port, pb->tcp.seq,
+                   pb->tcp.ack, pb->payload_len(), pb->tcp.flags});
+    if (deliver) {
+      deliver(pb);
+    } else {
+      h.stack.rx(pb);
+    }
+  });
+}
+
+std::vector<RxSeg> pure_acks(const std::vector<RxSeg>& log) {
+  std::vector<RxSeg> out;
+  for (const RxSeg& s : log) {
+    if (s.pure_ack()) out.push_back(s);
+  }
+  return out;
+}
+
+std::vector<RxSeg> data_segs(const std::vector<RxSeg>& log) {
+  std::vector<RxSeg> out;
+  for (const RxSeg& s : log) {
+    if (s.len > 0) out.push_back(s);
+  }
+  return out;
+}
+
+// Accepts connections and drains what they receive, never replying.
+void listen_and_drain(TestHost& h, std::vector<u8>& got) {
+  ASSERT_TRUE(h.stack
+                  .listen(kPort,
+                          [&got](TcpConn& c) {
+                            c.on_readable = [&got](TcpConn& cc) {
+                              std::vector<u8> buf(4096);
+                              std::size_t n;
+                              while ((n = cc.read(buf)) > 0) {
+                                got.insert(got.end(), buf.begin(),
+                                           buf.begin() + static_cast<long>(n));
+                              }
+                            };
+                          })
+                  .ok());
+}
+
+// An ACK sent "at once" reaches the peer within a few microseconds of
+// the segment that asked for it; a delayed one takes kDelAckTimeout.
+constexpr SimTime kPrompt = kDelAckTimeout / 4;
+
+TEST_F(TcpE2E, DelayedAckRidesOnAReplyWithinTheBound) {
+  std::vector<RxSeg> at_client;
+  log_rx(client, at_client);
+  ASSERT_TRUE(server.stack
+                  .listen(kPort,
+                          [&](TcpConn& c) {
+                            c.on_readable = [&](TcpConn& cc) {
+                              std::vector<u8> buf(64);
+                              buf.resize(cc.read(buf));
+                              // Reply well inside the delayed-ACK bound.
+                              env.engine.schedule_in(
+                                  kDelAckTimeout / 2, [this, &cc, buf] {
+                                    server.stack.run_cpu(
+                                        [&] { (void)cc.send(buf); });
+                                  });
+                            };
+                          })
+                  .ok());
+  TcpConn* c = client.stack.connect(kServerIp, kPort);
+  const std::string msg = "put me";
+  c->on_established = [&](TcpConn& cc) {
+    (void)cc.send(std::span<const u8>(
+        reinterpret_cast<const u8*>(msg.data()), msg.size()));
+  };
+  env.engine.run_until_idle();
+
+  // SYN-ACK, then the reply carrying the ACK of the request: no pure ACK.
+  ASSERT_EQ(at_client.size(), 2u);
+  const RxSeg& reply = at_client[1];
+  EXPECT_EQ(reply.len, msg.size());
+  EXPECT_NE(reply.flags & kTcpAck, 0);
+  EXPECT_EQ(reply.ack, at_client[0].ack + msg.size());
+  EXPECT_TRUE(pure_acks(at_client).empty());
+  EXPECT_EQ(server.stack.segments_tx(), 2u);
+  EXPECT_EQ(c->retransmits(), 0u);
+}
+
+TEST_F(TcpE2E, UnansweredSegmentIsAckedOnceAtTheBound) {
+  std::vector<RxSeg> at_client, at_server;
+  std::vector<u8> got;
+  log_rx(client, at_client);
+  log_rx(server, at_server);
+  listen_and_drain(server, got);
+  TcpConn* c = client.stack.connect(kServerIp, kPort);
+  const auto msg = rand_bytes(100, 61);
+  c->on_established = [&](TcpConn& cc) { (void)cc.send(msg); };
+  env.engine.run_until(5 * kNsPerMs);
+
+  EXPECT_EQ(got, msg);
+  const auto data = data_segs(at_server);
+  ASSERT_EQ(data.size(), 1u);
+  const auto acks = pure_acks(at_client);
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0].ack, data[0].seq + msg.size());
+  EXPECT_GE(acks[0].at - data[0].at, kDelAckTimeout);
+  EXPECT_LT(acks[0].at - data[0].at, kDelAckTimeout + kPrompt);
+  // The RTO floor keeps the sender's timer behind the delayed ACK.
+  EXPECT_EQ(c->retransmits(), 0u);
+}
+
+TEST_F(TcpE2E, OutOfOrderAndHoleFillingSegmentsAreAckedAtOnce) {
+  std::vector<RxSeg> at_client, at_server;
+  std::vector<u8> got;
+  bool lost = false;
+  log_rx(client, at_client);
+  log_rx(server, at_server, [&](PktBuf* pb) {
+    if (!lost && pb->payload_len() > 0) {
+      lost = true;  // the first data segment is lost once
+      server.pool.free(pb);
+      return;
+    }
+    server.stack.rx(pb);
+  });
+  listen_and_drain(server, got);
+  TcpConn* c = client.stack.connect(kServerIp, kPort);
+  const auto msg = rand_bytes(300, 62);
+  c->on_established = [&](TcpConn& cc) {
+    // Three sends, three segments.
+    for (std::size_t at = 0; at < msg.size(); at += 100) {
+      (void)cc.send(std::span<const u8>(msg).subspan(at, 100));
+    }
+  };
+  env.engine.run_until(5 * kNsPerMs);
+
+  EXPECT_EQ(got, msg);
+  EXPECT_EQ(c->retransmits(), 1u);  // the lost segment, on RTO
+  // Lost, then two out of order, then the retransmission filling the hole.
+  const auto data = data_segs(at_server);
+  ASSERT_EQ(data.size(), 4u);
+  const u32 first = data[0].seq;
+  EXPECT_EQ(data[3].seq, first);
+  // Two duplicate ACKs for the hole, then one for all 300 bytes, each
+  // sent as its segment arrived.
+  const auto acks = pure_acks(at_client);
+  ASSERT_EQ(acks.size(), 3u);
+  EXPECT_EQ(acks[0].ack, first);
+  EXPECT_EQ(acks[1].ack, first);
+  EXPECT_EQ(acks[2].ack, first + 300);
+  for (std::size_t i = 0; i < acks.size(); i++) {
+    EXPECT_LT(acks[i].at - data[i + 1].at, kPrompt) << "ack " << i;
+  }
+}
+
+TEST_F(TcpE2E, DuplicateSegmentIsAckedAtOnce) {
+  std::vector<RxSeg> at_client, at_server;
+  std::vector<u8> got;
+  bool duplicated = false;
+  log_rx(client, at_client);
+  log_rx(server, at_server, [&](PktBuf* pb) {
+    if (!duplicated && pb->payload_len() > 0) {
+      duplicated = true;  // the first data segment arrives twice
+      PktBuf* dup = server.pool.clone(*pb);
+      server.stack.rx(pb);
+      pb = dup;
+    }
+    server.stack.rx(pb);
+  });
+  listen_and_drain(server, got);
+  TcpConn* c = client.stack.connect(kServerIp, kPort);
+  const auto msg = rand_bytes(100, 63);
+  c->on_established = [&](TcpConn& cc) { (void)cc.send(msg); };
+  env.engine.run_until(5 * kNsPerMs);
+
+  EXPECT_EQ(got, msg);
+  const auto data = data_segs(at_server);
+  ASSERT_EQ(data.size(), 1u);
+  // The duplicate is acked at once; the delayed ACK then has nothing
+  // left to send.
+  const auto acks = pure_acks(at_client);
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0].ack, data[0].seq + msg.size());
+  EXPECT_LT(acks[0].at - data[0].at, kPrompt);
+}
+
+TEST_F(TcpE2E, SecondFullSegmentIsAckedAtOnce) {
+  std::vector<RxSeg> at_client, at_server;
+  std::vector<u8> got;
+  log_rx(client, at_client);
+  log_rx(server, at_server);
+  listen_and_drain(server, got);
+  TcpConn* c = client.stack.connect(kServerIp, kPort);
+  const auto msg = rand_bytes(2 * kMss, 64);
+  c->on_established = [&](TcpConn& cc) { (void)cc.send(msg); };
+  env.engine.run_until(5 * kNsPerMs);
+
+  EXPECT_EQ(got, msg);
+  const auto data = data_segs(at_server);
+  ASSERT_EQ(data.size(), 2u);
+  const auto acks = pure_acks(at_client);
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0].ack, data[0].seq + 2 * kMss);
+  EXPECT_LT(acks[0].at - data[1].at, kPrompt);
+}
+
+TEST(TcpDelayedAck, DueAckLeavesBetweenSegmentsOfABackloggedCore) {
+  sim::Env env;
+  nic::Fabric fabric(env);
+  TestHost client(env, fabric, kClientIp, /*busy_poll=*/false);
+  // A one-core server whose application spends 50 us on every segment
+  // of a second connection, so a burst of them backlogs the core.
+  HeapArena arena(env);
+  PktBufPool pool(env, arena);
+  nic::Nic snic(env, fabric, kServerIp, pool);
+  sim::HostCpu cpu(env, 1);
+  TcpStack::Options so;
+  so.ip = kServerIp;
+  so.busy_poll = true;
+  TcpStack stack(env, snic, pool, so);
+  stack.attach_cpu(cpu);
+  // The client's first connection stays quiet; its data arrival is noted.
+  const u16 quiet_port = client.stack.options().ephemeral_base;
+  std::vector<SimTime> data_at;
+  snic.set_sink([&](PktBuf* pb) {
+    if (pb->tcp.src_port == quiet_port && pb->payload_len() > 0) {
+      data_at.push_back(env.now());
+    }
+    stack.rx(pb);
+  });
+  constexpr SimTime kWork = 50 * kNsPerUs;
+  ASSERT_TRUE(stack
+                  .listen(kPort,
+                          [&](TcpConn& c) {
+                            c.on_readable = [&env, quiet_port](TcpConn& cc) {
+                              std::vector<u8> buf(256);
+                              while (cc.read(buf) > 0) {
+                              }
+                              if (cc.peer_port() != quiet_port) {
+                                env.clock().advance(kWork);
+                              }
+                            };
+                          })
+                  .ok());
+  std::vector<RxSeg> at_client;
+  log_rx(client, at_client);
+  TcpConn* quiet = client.stack.connect(kServerIp, kPort);
+  TcpConn* busy = client.stack.connect(kServerIp, kPort);
+  ASSERT_EQ(quiet->local_port(), quiet_port);
+  env.engine.run_until_idle();
+
+  const auto msg = rand_bytes(100, 66);
+  client.stack.run_cpu([&] { (void)quiet->send(msg); });
+  env.engine.run_until(env.now() + 20 * kNsPerUs);
+  // Twenty segments, a millisecond of work, queued behind the core.
+  client.stack.run_cpu([&] {
+    for (int i = 0; i < 20; i++) (void)busy->send(msg);
+  });
+  env.engine.run_until_idle();
+
+  ASSERT_EQ(data_at.size(), 1u);
+  std::vector<RxSeg> acks;
+  for (const RxSeg& a : pure_acks(at_client)) {
+    if (a.port == quiet->local_port()) acks.push_back(a);
+  }
+  ASSERT_EQ(acks.size(), 1u);
+  // Sent by the first work item that began after the ACK fell due, not
+  // after the whole backlog.
+  EXPECT_GE(acks[0].at - data_at[0], kDelAckTimeout);
+  EXPECT_LT(acks[0].at - data_at[0], kDelAckTimeout + kWork + kPrompt);
+  EXPECT_GT(cpu.free_at(0), data_at[0] + 20 * kWork);
+}
+
+TEST(TcpMigration, PendingDelayedAckFiresOnTheAdoptingCore) {
+  sim::Env env;
+  nic::Fabric fabric(env);
+  TestHost client(env, fabric, kClientIp, /*busy_poll=*/false);
+  // A two-core server: one stack per core behind one NIC, the way a
+  // multi-queue host pins them.
+  HeapArena arena(env);
+  PktBufPool pool(env, arena);
+  nic::Nic snic(env, fabric, kServerIp, pool);
+  sim::HostCpu cpu(env, 2);
+  const auto pinned = [](int core) {
+    TcpStack::Options o;
+    o.ip = kServerIp;
+    o.busy_poll = true;
+    o.core = core;
+    return o;
+  };
+  TcpStack from(env, snic, pool, pinned(0));
+  TcpStack to(env, snic, pool, pinned(1));
+  from.attach_cpu(cpu);
+  to.attach_cpu(cpu);
+  TcpStack* serving = &from;
+  snic.set_sink([&](PktBuf* pb) { serving->rx(pb); });
+
+  TcpConn* srv = nullptr;
+  std::vector<u8> got;
+  ASSERT_TRUE(from.listen(kPort, [&](TcpConn& c) {
+                    srv = &c;
+                    c.on_readable = [&got](TcpConn& cc) {
+                      std::vector<u8> buf(256);
+                      std::size_t n;
+                      while ((n = cc.read(buf)) > 0) {
+                        got.insert(got.end(), buf.begin(),
+                                   buf.begin() + static_cast<long>(n));
+                      }
+                    };
+                  })
+                  .ok());
+  std::vector<RxSeg> at_client;
+  log_rx(client, at_client);
+  TcpConn* c = client.stack.connect(kServerIp, kPort);
+  env.engine.run_until_idle();
+  ASSERT_NE(srv, nullptr);
+  ASSERT_EQ(srv->state(), TcpState::established);
+
+  // The segment lands on core 0; its ACK is still pending when the
+  // connection moves to core 1's stack.
+  const auto msg = rand_bytes(100, 65);
+  client.stack.run_cpu([&] { (void)c->send(msg); });
+  env.engine.run_until(env.now() + kDelAckTimeout / 2);
+  ASSERT_EQ(got, msg);
+  ASSERT_TRUE(pure_acks(at_client).empty());
+  to.adopt(from.extract(srv));
+  serving = &to;
+  const SimTime busy0 = cpu.busy_ns(0);
+  const SimTime busy1 = cpu.busy_ns(1);
+  env.engine.run_until_idle();
+
+  const auto acks = pure_acks(at_client);
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(c->rtx_queued(), 0u);  // the ACK covered the segment
+  EXPECT_EQ(c->retransmits(), 0u);
+  // The ACK's TX was charged to the adopting core, and only there.
+  EXPECT_EQ(cpu.busy_ns(0), busy0);
+  EXPECT_GT(cpu.busy_ns(1), busy1);
+  EXPECT_EQ(to.segments_tx(), 1u);
+  EXPECT_EQ(from.segments_tx(), 1u);  // just the SYN-ACK
 }
 
 // ---------- PASTE: RX directly into PM ----------
