@@ -4,16 +4,13 @@
 # pass re-running the crash-point sweep suite under the sanitizers with
 # the exhaustive (scaled-up) workloads, a fourth build+test pass with
 # observability compiled out (-DPAPM_OBS=OFF) proving the kill switch
-# leaves the tree buildable and the tests green, and a fifth pass with
-# group commit compiled out (-DPAPM_GROUP_COMMIT=OFF) keeping the legacy
-# fence-per-op persistence path built and crash-tested, a sixth pass
-# with the NIC slicer compiled out (-DPAPM_SLICER=OFF) proving the
-# pre-slicer RX path still builds and tests green, and a seventh pass
-# with replication compiled out (-DPAPM_REPL=OFF) proving the norepl
-# datapath builds, tests green, and produces bit-identical bench records
-# (the OFF build is not a perf fork). Also lints the docs (every bench
-# binary must have an EXPERIMENTS.md section; every registered metric an
-# entry in docs/OBSERVABILITY.md), and verifies the telemetry plane:
+# leaves the tree buildable and the tests green. Group commit, the NIC
+# slicer and replication have no compile-time switch: each is turned off
+# at run time (no FlushBatcher, payload_slicing = false, no Replicator)
+# and both sides are tested in the default build. Also lints the docs
+# (every bench binary must have an EXPERIMENTS.md section; every
+# registered metric an entry in docs/OBSERVABILITY.md; README's test
+# count matches the default build), and verifies the telemetry plane:
 # an armed-but-unscraped admin plane is byte-identical to the baseline,
 # a scraped one stays under the 1%-of-p99 overhead budget, the
 # flight-recorder crash sweep loses no acked record and recovers no
@@ -31,6 +28,20 @@ echo "== tier-1: default build =="
 cmake --preset default >/dev/null
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
+
+echo "== tier-1: README test count matches the default build =="
+# Suites are the ctest registrations; tests are the gtest cases of every
+# suite binary, in the tests/CMakeLists.txt order.
+suites="$(ctest --test-dir build -N | sed -n 's/^Total Tests: //p')"
+tests=0
+for t in $(sed -n '/^set(PAPM_TESTS/,/^)/s/^  \(test_[a-z_]*\)$/\1/p' tests/CMakeLists.txt); do
+  tests=$((tests + $(build/tests/"$t" --gtest_list_tests | grep -c '^  ')))
+done
+if ! grep -qF "# $tests tests across $suites suites" README.md; then
+  echo "README.md: test count drifted (default build: $tests tests across $suites suites)" >&2
+  exit 1
+fi
+echo "README: $tests tests across $suites suites"
 
 echo "== tier-1: open-loop smoke + determinism (byte-identical reruns) =="
 build/bench/bench_openloop --conns 1000 --seconds 1 --json build/openloop_a.json
@@ -98,26 +109,5 @@ sed -e 's/"obs": "off"/"obs": "on"/' \
     -e 's/"flightrec": 1/"flightrec": 0/' build/openloop_noobs.json \
   | cmp - build/openloop_a.json
 echo "bench_openloop: PAPM_OBS=OFF telemetry plane compiled out bit-identically"
-
-echo "== tier-1: PAPM_GROUP_COMMIT=OFF build (legacy fence-per-op path) =="
-cmake --preset nogc >/dev/null
-cmake --build build-nogc -j
-ctest --test-dir build-nogc --output-on-failure -j
-
-echo "== tier-1: PAPM_SLICER=OFF build (pre-slicer RX path) =="
-cmake --preset noslicer >/dev/null
-cmake --build build-noslicer -j
-ctest --test-dir build-noslicer --output-on-failure -j
-
-echo "== tier-1: PAPM_REPL=OFF build (replication kill switch) =="
-cmake --preset norepl >/dev/null
-cmake --build build-norepl -j
-ctest --test-dir build-norepl --output-on-failure -j
-# With no Replicator attached the datapath must be bit-identical either
-# way: the same recorded bench run from both builds, compared bytewise.
-build/bench/bench_openloop --conns 1000 --seconds 1 --json build/openloop_repl_on.json
-build-norepl/bench/bench_openloop --conns 1000 --seconds 1 --json build/openloop_repl_off.json
-cmp build/openloop_repl_on.json build/openloop_repl_off.json
-echo "bench_openloop: PAPM_REPL=ON/OFF builds bit-identical"
 
 echo "== tier-1: OK =="

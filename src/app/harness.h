@@ -279,8 +279,8 @@ struct FailoverResult {
   u64 degraded_acks = 0;
 };
 
-// Requires the repl subsystem (-DPAPM_REPL=ON); under the norepl build
-// it returns a zeroed result with detected == false.
+// Runs a primary with its replicas, cuts the primary at cut_at_ns and
+// measures detection, promotion and acked-write loss on the winner.
 FailoverResult run_failover(const FailoverConfig& cfg);
 
 }  // namespace papm::app

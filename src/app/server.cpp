@@ -14,7 +14,7 @@ namespace {
 
 // In-place request-head parse over the first segment's payload: no copy,
 // no allocation beyond the key string. Returns nullopt if the head is not
-// complete yet.
+// complete or is malformed.
 struct Head {
   http::Method method;
   std::string_view key;  // target without the leading "/kv/"
@@ -122,8 +122,7 @@ KvServer::KvServer(Host& host, const ServerConfig& cfg)
     // holds its acks the same way (Figure 2 compares like with like).
     // The policy travels in StoreKnobs (pkt_opts carries no persistence
     // policy of its own).
-    if (pm::kGroupCommitCompiled && host_.pm_backed() &&
-        cfg.backend != Backend::discard) {
+    if (host_.pm_backed() && cfg.backend != Backend::discard) {
       sh.batcher.emplace(host_.pm_device(), cfg.knobs.group_commit);
       sh.batcher->register_pool(host_.pm_pool(i));
       if (sh.store_pool.has_value()) sh.batcher->register_pool(*sh.store_pool);
@@ -177,8 +176,7 @@ void KvServer::on_accept(net::TcpConn& conn, u32 shard) {
 }
 
 bool KvServer::try_parse_head(ConnState& st) {
-  if (st.pkts.empty()) return false;
-  // Fast path: head within the first segment (always true for the
+  // The head must lie within the first segment (always true for the
   // paper's request sizes; requests are not pipelined).
   net::PktBuf* first = st.pkts[0];
   const auto payload = first->owner->payload(*first);
@@ -367,7 +365,11 @@ void KvServer::close_epoch(u32 shard) {
 
 void KvServer::on_readable(net::TcpConn& conn) {
   auto it = conns_.find(&conn);
-  if (it == conns_.end()) return;
+  if (it == conns_.end()) {
+    // A rejected connection, closing: drop whatever it still sends.
+    for (net::PktBuf* pb : conn.read_pkts()) net::PktBufPool::release(pb);
+    return;
+  }
   ConnState& st = it->second;
 
   for (net::PktBuf* pb : conn.read_pkts()) {
@@ -375,7 +377,18 @@ void KvServer::on_readable(net::TcpConn& conn) {
     st.have_bytes += pb->payload_len();
     st.pkts.push_back(pb);
   }
-  if (!st.head_parsed && !try_parse_head(st)) return;
+  if (st.pkts.empty()) return;  // EOF signal: no request in flight
+  if (!st.head_parsed && !try_parse_head(st)) {
+    // The head must arrive whole and well-formed in the first segment
+    // (DESIGN.md §10); later segments cannot complete it.
+    errors_++;
+    obs::inc(shards_[st.shard].m_errors);
+    respond(conn, 400);
+    for (net::PktBuf* pb : st.pkts) net::PktBufPool::release(pb);
+    conns_.erase(it);
+    conn.close();
+    return;
+  }
   if (st.have_bytes < st.head_len + st.body_len) return;  // body incomplete
   dispatch(conn, st);
 }
@@ -504,8 +517,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   // Replication forwarding state (pktstore mutations with a Replicator
   // attached): the value's gather ranges, captured where the PUT path
   // has them in hand.
-  const bool repl_on = repl::kReplCompiled && repl_ != nullptr &&
-                       cfg_.backend == Backend::pktstore;
+  const bool repl_on = repl_ != nullptr && cfg_.backend == Backend::pktstore;
   std::vector<repl::Replicator::GatherSeg> repl_segs;
   bool repl_put_ok = false;
 

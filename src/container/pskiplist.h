@@ -48,8 +48,9 @@ struct PSkipListOptions {
   // updates are raw memory writes, never clwb'd, never fenced, and
   // recovery rebuilds them deterministically from the backbone scan.
   // A node's *birth* tower still rides along with its content persist
-  // (same lines, zero extra cost) as a rebuildable hint.
-  bool shadow_towers = pm::kGroupCommitCompiled;
+  // (same lines, zero extra cost) as a rebuildable hint. false keeps
+  // every tower link persistent (flushed and fenced like the backbone).
+  bool shadow_towers = true;
 };
 
 class PSkipList {

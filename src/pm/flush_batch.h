@@ -28,10 +28,9 @@
 // in tests/test_crash_recovery.cpp cuts at every boundary inside epochs.
 //
 // When the server is idle (not backlogged) every call passes straight
-// through to the device, so single-connection latency and the Table 1
-// reproduction are bit-identical to the unbatched build. Compiling with
-// -DPAPM_GROUP_COMMIT=OFF removes the batched paths entirely (the `nogc`
-// preset; tier-1 keeps the legacy fence-per-op path crash-tested).
+// through to the device: the legacy fence-per-op protocol, so
+// single-connection latency and the Table 1 reproduction are unchanged by
+// batching. A datapath that attaches no batcher persists the same way.
 #pragma once
 
 #include <functional>
@@ -44,17 +43,10 @@ namespace papm::pm {
 
 class PmPool;
 
-#ifdef PAPM_GROUP_COMMIT_DISABLED
-inline constexpr bool kGroupCommitCompiled = false;
-#else
-inline constexpr bool kGroupCommitCompiled = true;
-#endif
-
 // Policy knobs (see storage/knobs.h: StoreKnobs carries one of these from
 // the harness RunConfig down to the per-shard batchers).
 struct GroupCommitPolicy {
-  bool enabled = true;       // master switch (runtime; AND'ed with compile)
-  u32 max_epoch_ops = 64;    // close after this many ops joined the epoch
+  u32 max_epoch_ops = 64;  // close after this many ops joined the epoch
   // Close when the open epoch gets older than this. Sized so the op-count
   // limit, not the deadline, closes epochs at saturation (a 1 KB put costs
   // ~12 µs of core time); the deadline is the trickle-traffic backstop

@@ -38,9 +38,7 @@ struct ReplicaConfig {
   u64 pm_size = 64u << 20;
   ReplOptions opts;
   core::PktStoreOptions store_opts;
-  // Group-commit epochs on the apply path (AND'ed with the compile-time
-  // switch; pass-through = every apply persists synchronously).
-  bool group_commit = true;
+  // Group-commit epochs on the apply path: every apply joins an epoch.
   pm::GroupCommitPolicy gc_policy{};
   nic::Nic::Options nic{};
 };
@@ -104,6 +102,7 @@ class ReplicaNode {
   void publish_applied(u64 seq);
   void send_ack();
   void arm_epoch_drain();
+  void attach_batcher();
   void free_delivery(net::HomaDelivery& d);
   void snap_item(const net::HomaDelivery& d);
   void snap_end(u64 cut_seq);

@@ -268,6 +268,86 @@ TEST(Harness, LsmWithWalIsSlower) {
 // Range query end-to-end: prime keys through the harness-style server,
 // then issue GET /scan/<from>/<to> on a raw connection and check the
 // listing (the paper's "efficient range query support" property).
+// A request head that is not whole and well-formed in the first segment
+// is answered 400 and its connection closed (DESIGN.md §10). Sends `segments` one at a time on a fresh connection and returns the
+// server's response; the server must still serve a new connection after.
+std::optional<http::Response> send_raw_segments(
+    const std::vector<std::string>& segments, u64* server_errors) {
+  sim::Env env;
+  nic::Fabric fabric(env);
+  HostConfig scfg;
+  scfg.ip = 2;
+  scfg.cores = 1;
+  scfg.busy_poll = true;
+  scfg.pm_backed = true;
+  Host server(env, fabric, scfg);
+  HostConfig ccfg;
+  ccfg.ip = 1;
+  ccfg.cores = 0;
+  Host client(env, fabric, ccfg);
+  ServerConfig sc;
+  sc.backend = Backend::pktstore;
+  KvServer srv(server, sc);
+
+  std::optional<http::Response> last;
+  auto open = [&](http::ResponseParser& parser) {
+    net::TcpConn* conn = client.stack().connect(2, 9000);
+    conn->on_readable = [&last, p = &parser](net::TcpConn& c) {
+      std::vector<u8> buf(8192);
+      std::size_t n;
+      while ((n = c.read(buf)) > 0) {
+        auto r = p->feed(std::span<const u8>(buf.data(), n));
+        if (r.has_value()) last = std::move(r);
+      }
+    };
+    env.engine.run_until_idle();
+    EXPECT_EQ(conn->state(), net::TcpState::established);
+    return conn;
+  };
+
+  http::ResponseParser bad_parser;
+  net::TcpConn* bad = open(bad_parser);
+  for (const std::string& seg : segments) {
+    (void)bad->send(std::span<const u8>(
+        reinterpret_cast<const u8*>(seg.data()), seg.size()));
+    env.engine.run_until_idle();
+  }
+  const std::optional<http::Response> rejected = last;
+  EXPECT_NE(bad->state(), net::TcpState::established)
+      << "the server must close a connection it rejected";
+
+  last.reset();
+  http::ResponseParser good_parser;
+  net::TcpConn* good = open(good_parser);
+  http::Request req;
+  req.method = http::Method::put;
+  req.target = "/kv/k";
+  req.body = {'v'};
+  (void)good->send(http::serialize(req));
+  env.engine.run_until_idle();
+  EXPECT_TRUE(last.has_value() && last->status == 201)
+      << "the server stopped serving after a rejected head";
+  *server_errors = srv.errors();
+  return rejected;
+}
+
+TEST(BadHead, SplitAcrossSegmentsGets400) {
+  u64 errors = 0;
+  const auto resp = send_raw_segments(
+      {"PUT /kv/k HTTP/1.1\r\nContent-", "Length: 3\r\n\r\nabc"}, &errors);
+  ASSERT_TRUE(resp.has_value()) << "split head stalled the connection";
+  EXPECT_EQ(resp->status, 400);
+  EXPECT_EQ(errors, 1u);
+}
+
+TEST(BadHead, GarbageRequestLineGets400) {
+  u64 errors = 0;
+  const auto resp = send_raw_segments({"GARBAGE\r\n\r\n"}, &errors);
+  ASSERT_TRUE(resp.has_value()) << "malformed head stalled the connection";
+  EXPECT_EQ(resp->status, 400);
+  EXPECT_EQ(errors, 1u);
+}
+
 class ScanTest : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(ScanTest, RangeQueryListsKeysInOrder) {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/crc32c.h"
-#include "common/hexdump.h"
 #include "common/inet_csum.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -326,22 +325,6 @@ TEST(FormatUs, RendersMicroseconds) {
   EXPECT_EQ(format_us(26710.0), "26.71");
   EXPECT_EQ(format_us(1940.0), "1.94");
   EXPECT_EQ(format_us(700.0, 1), "0.7");
-}
-
-// ---------- hexdump ----------
-
-TEST(Hexdump, RendersPrintable) {
-  const auto d = bytes("GET /key HTTP/1.1");
-  const std::string out = hexdump(d);
-  EXPECT_NE(out.find("47 45 54"), std::string::npos);  // "GET"
-  EXPECT_NE(out.find("|GET /key HTTP/1.|"), std::string::npos);  // 16-byte row
-  EXPECT_NE(out.find("|1|"), std::string::npos);                 // spillover row
-}
-
-TEST(Hexdump, TruncatesLongInput) {
-  std::vector<u8> big(1024, 0xab);
-  const std::string out = hexdump(big, 64);
-  EXPECT_NE(out.find("truncated"), std::string::npos);
 }
 
 // ---------- alignment helpers ----------

@@ -272,13 +272,19 @@ class LsmScenario final : public CrashScenario {
   std::optional<storage::LsmStore> store_;
 };
 
+// Swept with the upper index towers both DRAM-shadowed (the default)
+// and persistent (every tower link flushed and fenced).
 class PktStoreScenario final : public CrashScenario {
  public:
+  explicit PktStoreScenario(bool shadow_towers) {
+    opts_.index.shadow_towers = shadow_towers;
+  }
+
   void format(pm::PmDevice& dev) override {
     pool_.emplace(pm::PmPool::create(dev, "pkts", dev.data_base(), 1u << 20));
     arena_.emplace(dev, *pool_);
     pktpool_.emplace(dev.env(), *arena_);
-    store_.emplace(core::PktStore::create(*pktpool_, "db"));
+    store_.emplace(core::PktStore::create(*pktpool_, "db", opts_));
   }
 
   void workload(pm::PmDevice&, AckLog& log) override {
@@ -310,7 +316,7 @@ class PktStoreScenario final : public CrashScenario {
       ASSERT_TRUE(pool.ok());
       net::PmArena arena(dev, pool.value());
       net::PktBufPool pktpool(dev.env(), arena);
-      auto rec = core::PktStore::recover(pktpool, "db");
+      auto rec = core::PktStore::recover(pktpool, "db", opts_);
       ASSERT_TRUE(rec.ok()) << "I3: recovery failed";
       auto& store = rec.value();
       EXPECT_TRUE(store.validate().ok()) << "I3: index invalid";
@@ -326,6 +332,7 @@ class PktStoreScenario final : public CrashScenario {
   }
 
  private:
+  core::PktStoreOptions opts_;
   std::optional<pm::PmPool> pool_;
   std::optional<net::PmArena> arena_;
   std::optional<net::PktBufPool> pktpool_;
@@ -457,8 +464,9 @@ class SlicedIngestScenario final : public CrashScenario {
 // The sweep cuts at every flush/fence boundary, which includes the epoch
 // close sequence itself: pool-metadata clwb, content fence, publication
 // applies, publication fence, and (at deactivation) the freelist restore.
-// Under -DPAPM_GROUP_COMMIT=OFF begin_op never enters the batched regime,
-// so the same scenarios degenerate to the legacy fence-per-op protocol.
+// Each scenario also runs with every op not backlogged: begin_op then
+// never enters the batched regime and the same workload exercises the
+// pass-through (legacy fence-per-op) protocol.
 struct GroupOp {
   enum Kind { kPut, kErase };
   Kind kind;
@@ -543,6 +551,8 @@ pm::GroupCommitPolicy crash_test_policy() {
 
 class GroupCommitLsmScenario final : public CrashScenario {
  public:
+  explicit GroupCommitLsmScenario(bool backlogged) : backlogged_(backlogged) {}
+
   void format(pm::PmDevice& dev) override {
     pool_.emplace(pm::PmPool::create(dev, "pool", dev.data_base(), 1u << 20));
     store_.emplace(storage::LsmStore::create(dev, *pool_, "db"));
@@ -554,14 +564,14 @@ class GroupCommitLsmScenario final : public CrashScenario {
   void workload(pm::PmDevice&, AckLog&) override {
     auto put = [&](std::size_t i, u64 tag, std::size_t len) {
       auto val = value_of(tag, len);
-      batcher_->begin_op(true, 0);
+      batcher_->begin_op(backlogged_, 0);
       log_.pend({GroupOp::kPut, key_of(i), val});
       EXPECT_TRUE(store_->put(key_of(i), val).ok());
       batcher_->on_committed(log_.ack());
       batcher_->end_op();
     };
     auto erase = [&](std::size_t i) {
-      batcher_->begin_op(true, 0);
+      batcher_->begin_op(backlogged_, 0);
       log_.pend({GroupOp::kErase, key_of(i), {}});
       EXPECT_TRUE(store_->erase(key_of(i)).ok());
       batcher_->on_committed(log_.ack());
@@ -600,6 +610,7 @@ class GroupCommitLsmScenario final : public CrashScenario {
   }
 
  private:
+  bool backlogged_;
   std::optional<pm::PmPool> pool_;
   std::optional<storage::LsmStore> store_;
   std::optional<pm::FlushBatcher> batcher_;
@@ -608,6 +619,8 @@ class GroupCommitLsmScenario final : public CrashScenario {
 
 class GroupCommitPktScenario final : public CrashScenario {
  public:
+  explicit GroupCommitPktScenario(bool backlogged) : backlogged_(backlogged) {}
+
   void format(pm::PmDevice& dev) override {
     pool_.emplace(pm::PmPool::create(dev, "pkts", dev.data_base(), 1u << 20));
     arena_.emplace(dev, *pool_);
@@ -621,14 +634,14 @@ class GroupCommitPktScenario final : public CrashScenario {
   void workload(pm::PmDevice&, AckLog&) override {
     auto put = [&](std::size_t i, u64 tag, std::size_t len) {
       auto val = value_of(tag, len);
-      batcher_->begin_op(true, 0);
+      batcher_->begin_op(backlogged_, 0);
       log_.pend({GroupOp::kPut, key_of(i), val});
       EXPECT_TRUE(store_->put_bytes(key_of(i), val).ok());
       batcher_->on_committed(log_.ack());
       batcher_->end_op();
     };
     auto erase = [&](std::size_t i) {
-      batcher_->begin_op(true, 0);
+      batcher_->begin_op(backlogged_, 0);
       log_.pend({GroupOp::kErase, key_of(i), {}});
       EXPECT_TRUE(store_->erase(key_of(i)));
       batcher_->on_committed(log_.ack());
@@ -667,6 +680,7 @@ class GroupCommitPktScenario final : public CrashScenario {
   }
 
  private:
+  bool backlogged_;
   std::optional<pm::PmPool> pool_;
   std::optional<net::PmArena> arena_;
   std::optional<net::PktBufPool> pktpool_;
@@ -896,19 +910,26 @@ TEST(CrashSweep, LsmStoreWalAndRotation) {
                 [] { return std::make_unique<LsmScenario>(true, 2600); });
 }
 
-TEST(CrashSweep, PktStore) {
-  run_all_plans(2u << 20, [] { return std::make_unique<PktStoreScenario>(); });
+class CrashSweepPktStore : public ::testing::TestWithParam<bool> {};
+
+TEST_P(CrashSweepPktStore, AllBoundaries) {
+  const bool shadow = GetParam();
+  run_all_plans(2u << 20,
+                [=] { return std::make_unique<PktStoreScenario>(shadow); });
 }
 
+INSTANTIATE_TEST_SUITE_P(Towers, CrashSweepPktStore, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "shadow" : "persistent";
+                         });
+
 TEST(CrashSweep, SlicedIngestHostInsert) {
-  if (!net::kSlicerCompiled) GTEST_SKIP() << "slicer compiled out";
   run_all_plans(2u << 20, [] {
     return std::make_unique<SlicedIngestScenario>(core::InsertPolicy::host);
   });
 }
 
 TEST(CrashSweep, SlicedIngestNicInsert) {
-  if (!net::kSlicerCompiled) GTEST_SKIP() << "slicer compiled out";
   run_all_plans(2u << 20, [] {
     return std::make_unique<SlicedIngestScenario>(core::InsertPolicy::nic);
   });
@@ -919,15 +940,27 @@ TEST(CrashSweep, ShardedSkipListsMergeIdempotent) {
                 [] { return std::make_unique<ShardedIndexScenario>(); });
 }
 
-TEST(CrashSweep, GroupCommitLsmEpochBoundaries) {
-  run_all_plans(2u << 20,
-                [] { return std::make_unique<GroupCommitLsmScenario>(); });
+// backlogged = false is the pass-through path every idle op takes.
+class CrashSweepGroupCommit : public ::testing::TestWithParam<bool> {};
+
+TEST_P(CrashSweepGroupCommit, LsmEpochBoundaries) {
+  const bool backlogged = GetParam();
+  run_all_plans(2u << 20, [=] {
+    return std::make_unique<GroupCommitLsmScenario>(backlogged);
+  });
 }
 
-TEST(CrashSweep, GroupCommitPktStoreEpochBoundaries) {
-  run_all_plans(2u << 20,
-                [] { return std::make_unique<GroupCommitPktScenario>(); });
+TEST_P(CrashSweepGroupCommit, PktStoreEpochBoundaries) {
+  const bool backlogged = GetParam();
+  run_all_plans(2u << 20, [=] {
+    return std::make_unique<GroupCommitPktScenario>(backlogged);
+  });
 }
+
+INSTANTIATE_TEST_SUITE_P(Backlog, CrashSweepGroupCommit, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "batched" : "passthrough";
+                         });
 
 TEST(CrashSweep, FlightRecorder) {
   run_all_plans(1u << 20,

@@ -5,9 +5,7 @@
 // Everything here observes the batcher through the PmDevice's lifetime
 // flush counters (total_clwb/total_sfence — alive even under
 // PAPM_OBS=OFF) and the batcher's own introspection accessors, so the
-// suite runs identically in the noobs tier-1 stage. Tests that need the
-// batched regime skip themselves under -DPAPM_GROUP_COMMIT=OFF, where
-// begin_op(true) is defined to stay pass-through.
+// suite runs identically in the noobs tier-1 stage.
 
 #include <gtest/gtest.h>
 
@@ -30,8 +28,6 @@ pm::GroupCommitPolicy policy_of(u32 ops, u64 deferral_ns = kHuge) {
   return p;
 }
 
-bool compiled() { return pm::kGroupCommitCompiled; }
-
 TEST(FlushBatcher, PassThroughWhenNotBacklogged) {
   sim::Env env;
   pm::PmDevice dev(env, 1u << 16);
@@ -52,20 +48,7 @@ TEST(FlushBatcher, PassThroughWhenNotBacklogged) {
   EXPECT_EQ(b.epochs_closed(), 0u);
 }
 
-TEST(FlushBatcher, RuntimeDisabledPolicyStaysPassThrough) {
-  sim::Env env;
-  pm::PmDevice dev(env, 1u << 16);
-  pm::GroupCommitPolicy p = policy_of(8);
-  p.enabled = false;
-  pm::FlushBatcher b(dev, p);
-  b.begin_op(/*backlogged=*/true, 0);
-  EXPECT_FALSE(b.batching());
-  b.end_op();
-  EXPECT_EQ(b.epochs_closed(), 0u);
-}
-
 TEST(FlushBatcher, EpochClosesAtMaxOpsAndDefersFences) {
-  if (!compiled()) GTEST_SKIP() << "built with PAPM_GROUP_COMMIT=OFF";
   sim::Env env;
   pm::PmDevice dev(env, 1u << 16);
   pm::FlushBatcher b(dev, policy_of(3));
@@ -95,7 +78,6 @@ TEST(FlushBatcher, EpochClosesAtMaxOpsAndDefersFences) {
 }
 
 TEST(FlushBatcher, DeadlineClosesStaleEpochOnNextOp) {
-  if (!compiled()) GTEST_SKIP() << "built with PAPM_GROUP_COMMIT=OFF";
   sim::Env env;
   pm::PmDevice dev(env, 1u << 16);
   pm::FlushBatcher b(dev, policy_of(100, /*deferral_ns=*/500));
@@ -124,7 +106,6 @@ TEST(FlushBatcher, DeadlineClosesStaleEpochOnNextOp) {
 }
 
 TEST(FlushBatcher, MaybeCloseHonorsDeadlineAndIdle) {
-  if (!compiled()) GTEST_SKIP() << "built with PAPM_GROUP_COMMIT=OFF";
   sim::Env env;
   pm::PmDevice dev(env, 1u << 16);
   pm::FlushBatcher b(dev, policy_of(100, /*deferral_ns=*/500));
@@ -142,7 +123,6 @@ TEST(FlushBatcher, MaybeCloseHonorsDeadlineAndIdle) {
 }
 
 TEST(FlushBatcher, DeferredPublicationMaskedFromCrashUntilClose) {
-  if (!compiled()) GTEST_SKIP() << "built with PAPM_GROUP_COMMIT=OFF";
   // Phase 1: a withheld publication is visible to loads but survives no
   // crash — the old (zero) word is what recovery sees.
   {
@@ -183,7 +163,6 @@ TEST(FlushBatcher, DeferredPublicationMaskedFromCrashUntilClose) {
 }
 
 TEST(FlushBatcher, CloseRunsAcksBeforeQuarantineInFifoOrder) {
-  if (!compiled()) GTEST_SKIP() << "built with PAPM_GROUP_COMMIT=OFF";
   sim::Env env;
   pm::PmDevice dev(env, 1u << 16);
   pm::FlushBatcher b(dev, policy_of(8));
@@ -201,7 +180,6 @@ TEST(FlushBatcher, CloseRunsAcksBeforeQuarantineInFifoOrder) {
 }
 
 TEST(FlushBatcher, PoolSealHysteresisRestoresOnlyAfterSustainedIdle) {
-  if (!compiled()) GTEST_SKIP() << "built with PAPM_GROUP_COMMIT=OFF";
   sim::Env env;
   pm::PmDevice dev(env, 1u << 20);
   auto pool = pm::PmPool::create(dev, "p", dev.data_base(), 1u << 18);

@@ -204,7 +204,6 @@ TEST(Migration, PreservesFifoAndAckedWrites) {
 TEST(Migration, DrainsOpenGroupCommitEpoch) {
   ServerConfig sc;
   sc.backend = Backend::pktstore;
-  sc.knobs.group_commit.enabled = true;
   sc.knobs.group_commit.max_epoch_ops = 64;
   // Deadlines far beyond the test horizon: only migrate_bucket's
   // close_epoch (or the idle-drain check) can release held acks.
