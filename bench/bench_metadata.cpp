@@ -8,13 +8,12 @@
 // We sweep the index cold-miss fraction (a proxy for metadata cache
 // footprint) and the medium (PM vs DRAM read latency), and report the
 // simulated per-op index cost at several store sizes — plus real
-// wall-clock skip-list throughput.
+// wall-clock persistent skip-list get throughput.
 #include <benchmark/benchmark.h>
 
 #include <string>
 
 #include "container/pskiplist.h"
-#include "container/skiplist.h"
 
 using namespace papm;
 
@@ -57,18 +56,6 @@ BENCHMARK(BM_SimIndexInsert)
     ->Args({4000, 50, 0})   // bloated on DRAM
     ->Args({32000, 14, 1})  // deeper index
     ->Args({32000, 50, 1});
-
-void BM_RealVolatileSkipListPut(benchmark::State& state) {
-  container::SkipList sl;
-  const auto keys = static_cast<std::size_t>(state.range(0));
-  for (std::size_t i = 0; i < keys; i++) sl.put("key" + std::to_string(i), i);
-  u64 i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sl.put("key" + std::to_string(i % keys), i));
-    i++;
-  }
-}
-BENCHMARK(BM_RealVolatileSkipListPut)->Arg(4000)->Arg(32000);
 
 void BM_RealPersistentSkipListGet(benchmark::State& state) {
   sim::Env env;

@@ -12,7 +12,11 @@
 #      by convention, see bench/bench_json.h) must be documented there;
 #   4. every trace stage name (the to_string cases in src/obs/trace.h)
 #      must appear in docs/OBSERVABILITY.md — the attribution tables are
-#      unreadable when a stage label has no definition.
+#      unreadable when a stage label has no definition;
+#   5. the other way round, every row of docs/OBSERVABILITY.md's
+#      Prometheus-name table must name a metric registered in src/ — a
+#      row left behind by a removed component documents a name /metrics
+#      never exposes.
 # Run from anywhere.
 set -euo pipefail
 
@@ -75,6 +79,17 @@ for m in $metrics; do
   p="papm_$(printf '%s' "$m" | sed -E 's/[^a-zA-Z0-9]/_/g')"
   if ! grep -qF "$p" docs/OBSERVABILITY.md; then
     echo "check_docs: /metrics name '$p' (registry name '$m') is not documented in docs/OBSERVABILITY.md" >&2
+    missing=1
+  fi
+done
+
+# Every row of the Prometheus-name table ("| `name` | `papm_name` |")
+# must name a metric that src/ still registers.
+rows="$(grep -oE '^\| `[^`]+` \| `papm_[^`]+` \|$' docs/OBSERVABILITY.md \
+  | sed -E 's/^\| `([^`]+)`.*/\1/')"
+for r in $rows; do
+  if ! printf '%s\n' "$metrics" | grep -qxF "$r"; then
+    echo "check_docs: docs/OBSERVABILITY.md documents metric '$r', which nothing in src/ registers" >&2
     missing=1
   fi
 done

@@ -9,8 +9,10 @@
 # at run time (no FlushBatcher, payload_slicing = false, no Replicator)
 # and both sides are tested in the default build. Also lints the docs
 # (every bench binary must have an EXPERIMENTS.md section; every
-# registered metric an entry in docs/OBSERVABILITY.md; README's test
-# count matches the default build), and verifies the telemetry plane:
+# registered metric an entry in docs/OBSERVABILITY.md and every
+# documented metric a registration; README's test count and Table 1 RTT
+# cells match the default build), runs every example to a zero exit,
+# and verifies the telemetry plane:
 # an armed-but-unscraped admin plane is byte-identical to the baseline,
 # a scraped one stays under the 1%-of-p99 overhead budget, the
 # flight-recorder crash sweep loses no acked record and recovers no
@@ -42,6 +44,33 @@ if ! grep -qF "# $tests tests across $suites suites" README.md; then
   exit 1
 fi
 echo "README: $tests tests across $suites suites"
+
+echo "== tier-1: README Table 1 RTT cells match bench_table1 =="
+# The "ours" column of bench_table1's Networking and Total rows must be
+# the figure README's headline table quotes.
+table1="$(build/bench/bench_table1)"
+check_rtt() {  # <README row label> <bench_table1 row label>
+  local readme bench
+  readme="$(sed -n "s/^| $1 |[^|]*| \([0-9.]*\) µs |\$/\1/p" README.md)"
+  bench="$(printf '%s\n' "$table1" | awk -v row="$2" '$1 == row { print $NF; exit }')"
+  if [ -z "$bench" ] || [ "$readme" != "$bench" ]; then
+    echo "README.md: '$1' reads '$readme' µs, bench_table1 gives '$bench' µs" >&2
+    exit 1
+  fi
+  echo "README: $1 = $bench µs"
+}
+check_rtt "Networking-only RTT (1 KB write)" Networking
+check_rtt "Full-baseline RTT" Total
+
+echo "== tier-1: examples run to a zero exit =="
+for ex in build/examples/*; do
+  [ -f "$ex" ] && [ -x "$ex" ] || continue
+  if ! "$ex" >/dev/null; then
+    echo "$ex: nonzero exit" >&2
+    exit 1
+  fi
+  echo "$ex: ok"
+done
 
 echo "== tier-1: open-loop smoke + determinism (byte-identical reruns) =="
 build/bench/bench_openloop --conns 1000 --seconds 1 --json build/openloop_a.json

@@ -193,9 +193,9 @@ RunResult run_experiment(const RunConfig& cfg) {
   r.ops = client.completed();
   r.kreq_per_s = static_cast<double>(client.completed()) /
                  (static_cast<double>(cfg.measure_ns) / 1e9) / 1000.0;
-  if (server.breakdown_ops() > 0) {
+  if (server.ops() > 0) {
     r.avg_breakdown = server.breakdown_sum();
-    r.avg_breakdown /= static_cast<SimTime>(server.breakdown_ops());
+    r.avg_breakdown /= static_cast<SimTime>(server.ops());
   }
   r.server_cpu_util =
       static_cast<double>(server_host.cpu().busy_ns() - busy_before) /

@@ -12,6 +12,12 @@ namespace papm::app {
 
 namespace {
 
+// /trace/recent page size. Small by design: the page is assembled and
+// sent on a datapath core, so its bytes (copy + per-segment tx) are the
+// dominant term in the admin plane's p99 footprint — 32 spans is one
+// scrape page, the full log belongs in the bench-exit trace file.
+constexpr std::size_t kTraceRecentSpans = 32;
+
 // In-place request-head parse over the first segment's payload: no copy,
 // no allocation beyond the key string. Returns nullopt if the head is not
 // complete or is malformed.
@@ -239,7 +245,7 @@ void KvServer::arm_epoch_drain_check(u32 shard) {
   const u64 serial = sh.batcher->epoch_serial();
   const u32 ops = sh.batcher->ops_in_epoch();
   env.engine.schedule_in(
-      static_cast<SimTime>(sh.batcher->policy().idle_close_ns),
+      pm::FlushBatcher::kIdleCloseNs,
       [this, shard, serial, ops] {
         Shard& sh = shards_[shard];
         if (!sh.batcher.has_value() || !sh.batcher->epoch_open()) return;
@@ -424,7 +430,7 @@ bool KvServer::admin_dispatch(net::TcpConn& conn, ConnState& st) {
   if (st.key == "/metrics") {
     body = obs::prometheus_text(host_.merged_metrics());
   } else if (trace_recent) {
-    body = obs::trace_recent_json(host_.merged_trace(), cfg_.trace_recent);
+    body = obs::trace_recent_json(host_.merged_trace(), kTraceRecentSpans);
   } else {
     const obs::MetricRegistry merged = host_.merged_metrics();
     body = "{\"now_ns\": " + std::to_string(env.now()) +
@@ -458,7 +464,7 @@ bool KvServer::admin_dispatch(net::TcpConn& conn, ConnState& st) {
   return true;
 }
 
-void KvServer::flight_record(ConnState& st, const storage::OpBreakdown* bd,
+void KvServer::flight_record(ConnState& st, const storage::OpBreakdown& bd,
                              u64 req, int status) {
   Shard& sh = shards_[st.shard];
   if (!sh.flightrec.has_value()) return;
@@ -476,18 +482,16 @@ void KvServer::flight_record(ConnState& st, const storage::OpBreakdown* bd,
     fr.stage_ns[static_cast<int>(obs::Stage::rx)] =
         ns32(st.parse_ts - st.rx_start);
   }
-  fr.stage_ns[static_cast<int>(obs::Stage::parse)] = ns32(st.parse_dur);
-  if (bd != nullptr) {
-    fr.stage_ns[static_cast<int>(obs::Stage::parse)] += ns32(bd->prep_ns);
-    fr.stage_ns[static_cast<int>(obs::Stage::checksum)] = ns32(bd->checksum_ns);
-    fr.stage_ns[static_cast<int>(obs::Stage::slice)] = ns32(bd->slice_ns);
-    fr.stage_ns[static_cast<int>(obs::Stage::copy)] = ns32(bd->copy_ns);
-    fr.stage_ns[static_cast<int>(obs::Stage::alloc_index)] =
-        ns32(bd->alloc_insert_ns);
-    fr.stage_ns[static_cast<int>(obs::Stage::nic_insert)] =
-        ns32(bd->nic_insert_ns);
-    fr.stage_ns[static_cast<int>(obs::Stage::persist)] = ns32(bd->persist_ns);
-  }
+  fr.stage_ns[static_cast<int>(obs::Stage::parse)] =
+      ns32(st.parse_dur) + ns32(bd.prep_ns);
+  fr.stage_ns[static_cast<int>(obs::Stage::checksum)] = ns32(bd.checksum_ns);
+  fr.stage_ns[static_cast<int>(obs::Stage::slice)] = ns32(bd.slice_ns);
+  fr.stage_ns[static_cast<int>(obs::Stage::copy)] = ns32(bd.copy_ns);
+  fr.stage_ns[static_cast<int>(obs::Stage::alloc_index)] =
+      ns32(bd.alloc_insert_ns);
+  fr.stage_ns[static_cast<int>(obs::Stage::nic_insert)] =
+      ns32(bd.nic_insert_ns);
+  fr.stage_ns[static_cast<int>(obs::Stage::persist)] = ns32(bd.persist_ns);
   fr.result = static_cast<u16>(status);
   switch (st.method) {
     case http::Method::put: fr.op = 'P'; break;
@@ -510,7 +514,6 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   if (sh.lsm.has_value()) sh.lsm->set_batched(batched);
   if (sh.pktstore.has_value()) sh.pktstore->set_batched(batched);
   storage::OpBreakdown bd;
-  storage::OpBreakdown* bdp = cfg_.collect_breakdown ? &bd : nullptr;
   int status = 200;
   std::vector<u8> resp_body;
   PktHit zero_copy;
@@ -559,14 +562,14 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
           dev.store(at, chunk);
           at += chunk.size();
         }
-        if (bdp != nullptr) bdp->copy_ns += env.now() - t0;
+        bd.copy_ns += env.now() - t0;
         const SimTime t1 = env.now();
         if (sh.batcher.has_value()) {
           sh.batcher->persist(sh.raw_region + sh.raw_off, st.body_len);
         } else {
           dev.persist(sh.raw_region + sh.raw_off, st.body_len);
         }
-        if (bdp != nullptr) bdp->persist_ns += env.now() - t1;
+        bd.persist_ns += env.now() - t1;
         sh.raw_off += align_up(st.body_len, kCacheLine);
       }
       break;
@@ -581,7 +584,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
           // the store (its internal copy is the Table 1 copy row).
           net::PktBuf* pb = st.pkts[0];
           const auto p = pb->owner->payload(*pb);
-          s = sh.lsm->put(st.key, p.subspan(st.head_len, st.body_len), bdp);
+          s = sh.lsm->put(st.key, p.subspan(st.head_len, st.body_len), &bd);
         } else {
           std::vector<u8> body;
           body.reserve(st.body_len);
@@ -596,7 +599,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
             skip = 0;
           }
           body.resize(st.body_len);
-          s = sh.lsm->put(st.key, body, bdp);
+          s = sh.lsm->put(st.key, body, &bd);
         }
         if (!s.ok()) {
           status = 507;
@@ -669,7 +672,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
           remaining -= len;
           if (remaining == 0) break;
         }
-        const Status s = sh.pktstore->put_pkts(st.key, pkts, offs, lens, bdp);
+        const Status s = sh.pktstore->put_pkts(st.key, pkts, offs, lens, &bd);
         if (!s.ok()) {
           status = 507;
           errors_++;
@@ -707,7 +710,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   // sum never exceeds the elapsed backend time, so the stitched spans stay
   // inside [t_backend, now). prep lands on the parse stage (request
   // preparation — memtable key setup, WAL record framing).
-  if (tr.active() && bdp != nullptr) {
+  if (tr.active()) {
     SimTime at = t_backend;
     const auto emit = [&](obs::Stage s, SimTime d) {
       if (d != 0) {
@@ -728,7 +731,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   // under group commit its publication rides the same epoch whose close
   // releases the ack, and in pass-through mode it persists before the
   // response — either way an acked op is always recoverable.
-  if constexpr (obs::kEnabled) flight_record(st, bdp, tr.req(), status);
+  if constexpr (obs::kEnabled) flight_record(st, bd, tr.req(), status);
 
   // Durable mutations inside an open epoch ack only once the epoch's
   // fences retire (group commit's correctness condition); reads and
@@ -801,10 +804,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   sh.requests++;
   obs::inc(sh.m_requests);
   if (st.rx_start != 0) obs::observe(sh.m_req_ns, env.now() - st.rx_start);
-  if (bdp != nullptr) {
-    breakdown_sum_ += bd;
-    breakdown_ops_++;
-  }
+  breakdown_sum_ += bd;
 
   for (net::PktBuf* pb : st.pkts) net::PktBufPool::release(pb);
   ConnState fresh;

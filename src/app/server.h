@@ -60,10 +60,8 @@ struct ServerConfig {
   storage::StoreKnobs knobs;                 // lsm backend
   bool lsm_wal = false;                      // lsm backend
   core::PktStoreOptions pkt_opts;            // pktstore backend
-  bool collect_breakdown = true;
   // Record per-request stage spans into the host's per-shard TraceLogs
-  // (rx/parse/checksum/copy/alloc+index/persist/tx). Requires
-  // collect_breakdown for the data-management stages.
+  // (rx/parse/checksum/copy/alloc+index/persist/tx).
   bool trace = false;
 
   // --- Telemetry plane (runtime opt-in; fully inert with PAPM_OBS=OFF,
@@ -73,12 +71,6 @@ struct ServerConfig {
   // the KV port, from merge_from() snapshots of the shared-nothing
   // registries/logs — the hot path is never locked or paused.
   bool admin = false;
-  // Span cap for one /trace/recent response.
-  // /trace/recent page size. Small by design: the page is assembled and
-  // sent on a datapath core, so its bytes (copy + per-segment tx) are
-  // the dominant term in the admin plane's p99 footprint — 32 spans is
-  // one scrape page, the full log belongs in the bench-exit trace file.
-  std::size_t trace_recent = 32;
   // Per-shard TraceLog ring capacity for long-running serving (0 keeps
   // the unbounded bench-exit behaviour). Wraps count obs.trace_dropped.
   std::size_t trace_capacity = 0;
@@ -137,10 +129,10 @@ class KvServer {
   // backends without an index (discard, raw_persist).
   bool prime(std::string_view key, std::span<const u8> value);
 
+  // Summed over every dispatched request (ops() of them).
   [[nodiscard]] const storage::OpBreakdown& breakdown_sum() const noexcept {
     return breakdown_sum_;
   }
-  [[nodiscard]] u64 breakdown_ops() const noexcept { return breakdown_ops_; }
   [[nodiscard]] u64 errors() const noexcept { return errors_; }
 
   // --- Telemetry plane ---------------------------------------------------
@@ -172,7 +164,6 @@ class KvServer {
     ops_ = 0;
     errors_ = 0;
     breakdown_sum_ = {};
-    breakdown_ops_ = 0;
     repl_tax_ns_ = 0;
     repl_gated_ops_ = 0;
     for (auto& sh : shards_) sh.requests = 0;
@@ -258,10 +249,10 @@ class KvServer {
   // open epoch; fires as pinned CPU work at open + max_deferral.
   void arm_epoch_watchdog(u32 shard);
   void epoch_watchdog_fire(u32 shard, u64 serial);
-  // Schedules a drain check at now + idle_close_ns: if no newer op has
-  // joined the shard's epoch by then, the burst drained (closed-loop
-  // clients are all blocked on the held acks) and the epoch closes
-  // without waiting out the full deadline. Stale checks no-op.
+  // Schedules a drain check at now + FlushBatcher::kIdleCloseNs: if no
+  // newer op has joined the shard's epoch by then, the burst drained
+  // (closed-loop clients are all blocked on the held acks) and the epoch
+  // closes without waiting out the full deadline. Stale checks no-op.
   void arm_epoch_drain_check(u32 shard);
   void on_readable(net::TcpConn& conn);
   bool try_parse_head(ConnState& st);
@@ -277,7 +268,7 @@ class KvServer {
   // Appends the request's record to the shard's flight recorder (no-op
   // without one). Runs before the ack path so the record's publication
   // rides the same commit epoch that releases the ack.
-  void flight_record(ConnState& st, const storage::OpBreakdown* bd,
+  void flight_record(ConnState& st, const storage::OpBreakdown& bd,
                      u64 req, int status);
   void dispatch(net::TcpConn& conn, ConnState& st);
   // GET routing: the shard holding `key`, preferring `home` (the ingress
@@ -305,7 +296,6 @@ class KvServer {
   u64 admin_requests_ = 0;
   u64 next_req_ = 1;  // trace request ids (monotonic across shards)
   storage::OpBreakdown breakdown_sum_{};
-  u64 breakdown_ops_ = 0;
 };
 
 }  // namespace papm::app

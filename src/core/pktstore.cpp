@@ -88,7 +88,7 @@ Status PktStore::put_pkts(std::string_view key,
       total += lens[i];
     }
     if (all_sliced && (opts_.insert == InsertPolicy::nic ||
-                       total >= opts_.nic_insert_min_bytes)) {
+                       total >= kNicInsertMinBytes)) {
       return put_pkts_offloaded(key, pkts, offs, lens, bd);
     }
   }

@@ -34,8 +34,11 @@ namespace papm::core {
 // completion), or an automatic size-based choice. The engine's fixed
 // command cost beats the host only once the host-side per-byte work it
 // displaces (cold-line persists, per-segment appends) is large enough —
-// auto_ offloads values of at least nic_insert_min_bytes.
+// auto_ offloads values of at least kNicInsertMinBytes.
 enum class InsertPolicy : u8 { host = 0, nic = 1, auto_ = 2 };
+
+// The auto_ crossover threshold (the measured crossover, EXPERIMENTS.md).
+inline constexpr u32 kNicInsertMinBytes = 2048;
 
 struct PktStoreOptions {
   bool reuse_checksum = true;
@@ -49,7 +52,6 @@ struct PktStoreOptions {
   // eligible (the engine operates on NIC-placed slots); ineligible PUTs
   // fall back to the host path regardless of policy.
   InsertPolicy insert = InsertPolicy::host;
-  u32 nic_insert_min_bytes = 2048;  // auto_ crossover threshold
   // Index policy (selective persistence: shadow_towers keeps upper skip
   // list towers DRAM-only and rebuilds them at recovery). recover() must
   // be called with the same options the store was created with.

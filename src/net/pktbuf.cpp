@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cstring>
 
+#include "common/inet_csum.h"
+
 namespace papm::net {
 
 // --- HeapArena -------------------------------------------------------------
@@ -131,6 +133,16 @@ Status PktBufPool::add_frag(PktBuf& pb, u64 data_h, u32 len, u32 off, u32 cap) {
   pb.frags[pb.nr_frags++] = {data_h, off, len, cap != 0 ? cap : off + len};
   ref_data(data_h);
   return Errc::ok;
+}
+
+u32 PktBufPool::inet_sum_from(const PktBuf& pb, u32 from) {
+  u32 sum = 0;
+  std::size_t at = 0;
+  for_each_chunk(pb, from, [&](std::span<const u8> chunk) {
+    sum += inet_sum_at(chunk, at);
+    at += chunk.size();
+  });
+  return sum;
 }
 
 void PktBufPool::ref_data(u64 handle) { data_refs_[handle]++; }

@@ -13,8 +13,8 @@
 //     semantics: a clone shares the immutable packet data (retransmission
 //     queues hold clones; the paper relies on this to share data between
 //     the network and storage stacks);
-//   * frags: additional data areas letting one metadata describe data
-//     larger than the MTU (GSO/TSO, §4.2 file-system sketch).
+//   * frags: additional data areas, so one metadata can carry stored
+//     bytes to the wire without a copy (scatter-gather TX, §4.2).
 //
 // Buffers come from a BufArena. HeapArena models ordinary kernel packet
 // memory (DRAM); PmArena places packet data in a PM device — the PASTE
@@ -175,7 +175,7 @@ struct PktBuf {
     if (sliced()) slice_off += n;
   }
 
-  // Fragments (GSO super-packets).
+  // Fragments (scatter-gather TX: stored bytes ride without a copy).
   Frag frags[kMaxFrags]{};
   u8 nr_frags = 0;
 
@@ -221,8 +221,7 @@ class PktBufPool {
 
   // Caps live metadata at `n` descriptors (0 = unlimited, the default).
   // Models a real driver's fixed descriptor pool: at the cap, alloc() and
-  // clone() fail (nullptr) instead of growing the slab — best-effort
-  // consumers like PktTap drop their capture rather than stall RX.
+  // clone() fail (nullptr) instead of growing the slab.
   void set_meta_limit(std::size_t n) noexcept { meta_limit_ = n; }
   [[nodiscard]] std::size_t meta_limit() const noexcept { return meta_limit_; }
 
@@ -251,8 +250,8 @@ class PktBufPool {
   // reference, like adopt_data. Pair with unref_data(slice_h, slice_cap).
   [[nodiscard]] u64 adopt_slice(PktBuf& pb);
 
-  // Attaches an arena block as a refcounted frag of `pb` (super-packets,
-  // zero-copy emission of stored data). `off` selects a byte range within
+  // Attaches an arena block as a refcounted frag of `pb` (zero-copy
+  // emission of stored data). `off` selects a byte range within
   // the block.
   Status add_frag(PktBuf& pb, u64 data_h, u32 len, u32 off = 0,
                   u32 cap = 0 /* 0 = off + len */);
@@ -275,6 +274,30 @@ class PktBufPool {
     }
     return {arena_->data(pb.data_h, pb.len) + pb.payload_off, pb.payload_len()};
   }
+
+  // Visits `pb`'s bytes from offset `from` of its linear buffer to the
+  // end of the packet — the linear tail, then every frag in order — as
+  // fn(std::span<const u8>) per contiguous chunk. Data resolves through
+  // pb.owner: a cross-shard zero-copy response carries buffers of another
+  // core's arena. For TX-built packets (a sliced packet's payload is not
+  // in its linear buffer).
+  template <typename Fn>
+  static void for_each_chunk(const PktBuf& pb, u32 from, Fn&& fn) {
+    BufArena& a = pb.owner->arena();
+    if (pb.len > from) {
+      fn(std::span<const u8>(a.data(pb.data_h, pb.len) + from, pb.len - from));
+    }
+    for (int i = 0; i < pb.nr_frags; i++) {
+      const PktBuf::Frag& fr = pb.frags[i];
+      fn(std::span<const u8>(a.data(fr.data_h, fr.off + fr.len) + fr.off,
+                             fr.len));
+    }
+  }
+
+  // Raw ones'-complement sum of `pb`'s bytes from `from` on (see
+  // for_each_chunk), each chunk summed at its offset so odd-length chunks
+  // gather right: the software L4 checksum over a scatter-gather packet.
+  [[nodiscard]] static u32 inet_sum_from(const PktBuf& pb, u32 from);
 
   [[nodiscard]] BufArena& arena() noexcept { return *arena_; }
   [[nodiscard]] sim::Env& env() noexcept { return *env_; }

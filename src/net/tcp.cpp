@@ -229,20 +229,8 @@ void TcpStack::output_pkt(TcpConn& c, PktBuf* pb, u8 flags, u32 seq, u32 ack,
   if (!opts_.csum_offload_tx) {
     // Software checksumming: charge per byte covered; gather frag bytes.
     env_.clock().advance(env_.cost.inet_csum_cost(kTcpHdrLen + payload_len));
-    // The linear part and the frags are summed chunk by chunk, each at
-    // its offset within the segment, so odd-length chunks gather right.
-    u32 sum = tcp_pseudo_sum(ip.src, ip.dst, kTcpHdrLen + payload_len);
-    std::size_t at = 0;
-    const auto gather = [&](std::span<const u8> chunk) {
-      sum += inet_sum_at(chunk, at);
-      at += chunk.size();
-    };
-    gather({base + pb->l4_off, pb->len - pb->l4_off});
-    for (int i = 0; i < pb->nr_frags; i++) {
-      const auto& fr = pb->frags[i];
-      gather({pb->owner->arena().data(fr.data_h, fr.off + fr.len) + fr.off,
-              fr.len});
-    }
+    const u32 sum = tcp_pseudo_sum(ip.src, ip.dst, kTcpHdrLen + payload_len) +
+                    PktBufPool::inet_sum_from(*pb, pb->l4_off);
     const u16 csum = static_cast<u16>(~inet_fold(sum));
     base[pb->l4_off + 16] = static_cast<u8>(csum >> 8);
     base[pb->l4_off + 17] = static_cast<u8>(csum & 0xff);
@@ -525,7 +513,7 @@ Status TcpConn::send_pkt(PktBuf* pb) {
   }
   if (pb->payload_total() > kMss) {
     PktBufPool::release(pb);
-    return Errc::too_large;  // caller segments via gso first
+    return Errc::too_large;  // caller packs <= kMss per packet
   }
   pb->next = nullptr;
   if (snd_pkts_tail_ != nullptr) {

@@ -98,18 +98,11 @@ void Nic::transmit(net::PktBuf* pb) {
   queues_[txq].tx_frames++;
   obs::inc(queues_[txq].m_tx_frames);
 
-  // Resolve data through the packet's owning pool: a cross-shard
-  // zero-copy response carries buffers of another core's arena.
-  net::PktBufPool& pool = *pb->owner;
+  // Scatter-gather DMA read of the linear part and the frags: not CPU time.
   WireFrame frame;
-  const u8* base = pool.data(*pb);
-  frame.bytes.assign(base, base + pb->len);  // DMA read; not CPU time
-  for (int i = 0; i < pb->nr_frags; i++) {
-    // Scatter-gather DMA: frag bytes join the frame without CPU copies.
-    const auto& fr = pb->frags[i];
-    const u8* f = pool.arena().data(fr.data_h, fr.off + fr.len) + fr.off;
-    frame.bytes.insert(frame.bytes.end(), f, f + fr.len);
-  }
+  net::PktBufPool::for_each_chunk(*pb, 0, [&](std::span<const u8> chunk) {
+    frame.bytes.insert(frame.bytes.end(), chunk.begin(), chunk.end());
+  });
 
   if (opts_.csum_offload_tx) {
     // Checksum engine on the TX path: covers the L4 header + payload with
@@ -145,7 +138,7 @@ void Nic::transmit(net::PktBuf* pb) {
   if (opts_.hw_timestamps) frame.tx_hw_tstamp = depart;
   tx_frames_++;
   const u32 dst_ip = pb->ip.dst;
-  pool.free(pb);  // clones in the rtx queue keep the data alive
+  pb->owner->free(pb);  // clones in the rtx queue keep the data alive
   fabric_.inject(dst_ip, std::move(frame), depart);
 }
 

@@ -52,6 +52,10 @@ struct GroupCommitPolicy {
   // ~12 µs of core time); the deadline is the trickle-traffic backstop
   // that bounds how long an ack can wait.
   u64 max_deferral_ns = 800'000;
+};
+
+class FlushBatcher {
+ public:
   // Close when no new op has joined the epoch for this long: the burst
   // drained and every queued ack is waiting on the close. With closed-loop
   // clients the stream stalls *because* the acks are held, so without this
@@ -60,11 +64,8 @@ struct GroupCommitPolicy {
   // the ops' charged completion times), so this only needs to cover the
   // arrival jitter within a burst, not the per-op service time; it is the
   // whole ack-latency overhead a drained burst pays.
-  u64 idle_close_ns = 2'000;
-};
+  static constexpr SimTime kIdleCloseNs = 2'000;
 
-class FlushBatcher {
- public:
   explicit FlushBatcher(PmDevice& dev, GroupCommitPolicy policy = {})
       : dev_(&dev), policy_(policy) {}
 

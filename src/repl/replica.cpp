@@ -271,7 +271,7 @@ void ReplicaNode::arm_epoch_drain() {
   const u64 serial = batcher_->epoch_serial();
   const u32 ops = batcher_->ops_in_epoch();
   env_.engine.schedule_in(
-      static_cast<SimTime>(batcher_->policy().idle_close_ns),
+      pm::FlushBatcher::kIdleCloseNs,
       [this, serial, ops] {
         if (!alive_ || !batcher_->epoch_open()) return;
         if (batcher_->epoch_serial() != serial ||

@@ -1,15 +1,13 @@
-// Tests for core/: PChain, PktStore and PmFs — the paper's §4.2 design.
+// Tests for core/: PChain and PktStore — the paper's §4.2 design.
 // Includes end-to-end ingest from real received TCP packets, checksum
-// reuse equivalence, the cost claims (no CRC pass, no copy), crash
-// recovery, and the file-system variant.
+// reuse equivalence, the cost claims (no CRC pass, no copy) and crash
+// recovery.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <string>
 
 #include "core/pktstore.h"
-#include "core/pmfs.h"
-#include "net/gso.h"
 #include "nic/nic.h"
 
 namespace papm::core {
@@ -27,6 +25,17 @@ std::vector<u8> rand_bytes(std::size_t n, u64 seed) {
   std::vector<u8> v(n);
   for (auto& b : v) b = static_cast<u8>(rng.next());
   return v;
+}
+
+// The payload of an emitted packet: its linear tail, then its frags.
+std::vector<u8> payload_bytes(const PktBuf& pb) {
+  std::vector<u8> out;
+  net::PktBufPool::for_each_chunk(pb, pb.payload_off,
+                                  [&](std::span<const u8> chunk) {
+                                    out.insert(out.end(), chunk.begin(),
+                                               chunk.end());
+                                  });
+  return out;
 }
 
 // A PASTE-style server host: packet pool in PM, plus a DRAM client.
@@ -223,6 +232,15 @@ TEST_F(PktStoreTest, PutBytesPath) {
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->segments, (5000 + net::kMss - 1) / net::kMss);
   EXPECT_TRUE(store.verify("appkey").ok());
+
+  // An empty value is one empty chain element.
+  ASSERT_TRUE(store.put_bytes("empty", {}).ok());
+  EXPECT_TRUE(store.get("empty").value().empty());
+  const auto est = store.stat("empty");
+  ASSERT_TRUE(est.ok());
+  EXPECT_EQ(est->len, 0u);
+  EXPECT_EQ(est->segments, 1u);
+  EXPECT_TRUE(store.verify("empty").ok());
 }
 
 TEST_F(PktStoreTest, EmitPktsZeroCopyRoundTrip) {
@@ -232,7 +250,7 @@ TEST_F(PktStoreTest, EmitPktsZeroCopyRoundTrip) {
   ASSERT_TRUE(pkts.ok());
   std::vector<u8> assembled;
   for (PktBuf* pb : pkts.value()) {
-    const auto bytes = net::super_payload(rig.pool, *pb);
+    const auto bytes = payload_bytes(*pb);
     assembled.insert(assembled.end(), bytes.begin(), bytes.end());
     EXPECT_EQ(pb->nr_frags, 1);  // value rides as a frag, not a copy
     rig.pool.free(pb);
@@ -295,7 +313,7 @@ TEST_F(PktStoreTest, EmitPacksPrefixAndValueIntoFullSegments) {
       for (PktBuf* pb : pkts.value()) {
         EXPECT_LE(pb->payload_total(), net::kMss);
         EXPECT_LE(pb->nr_frags, PktBuf::kMaxFrags);
-        const auto bytes = net::super_payload(rig.pool, *pb);
+        const auto bytes = payload_bytes(*pb);
         assembled.insert(assembled.end(), bytes.begin(), bytes.end());
         rig.pool.free(pb);
       }
@@ -435,127 +453,6 @@ TEST_F(PktStoreTest, TimestampReuseToggle) {
   ASSERT_TRUE(s2.put_pkt("k", *pkts[0], pkts[0]->payload_off, 100).ok());
   rig.pool.free(pkts[0]);
   EXPECT_EQ(s2.stat("k")->hw_tstamp, 0);
-}
-
-// ---------- PmFs ----------
-
-class PmFsTest : public ::testing::Test {
- protected:
-  sim::Env env;
-  PmRig rig{env};
-  PmFs fs{PmFs::create(rig.pool, "fs")};
-};
-
-TEST_F(PmFsTest, WriteReadRoundTrip) {
-  const auto data = rand_bytes(10000, 20);
-  ASSERT_TRUE(fs.write_file("/data/blob.bin", data).ok());
-  EXPECT_EQ(fs.read_file("/data/blob.bin").value(), data);
-  EXPECT_TRUE(fs.verify("/data/blob.bin").ok());
-}
-
-TEST_F(PmFsTest, EmptyFile) {
-  ASSERT_TRUE(fs.write_file("/empty", {}).ok());
-  EXPECT_TRUE(fs.read_file("/empty").value().empty());
-  EXPECT_EQ(fs.stat("/empty")->size, 0u);
-  EXPECT_EQ(fs.stat("/empty")->extents, 0u);
-}
-
-TEST_F(PmFsTest, StatReportsExtentsAndTimestamps) {
-  const auto data = rand_bytes(5000, 21);
-  ASSERT_TRUE(fs.write_file("/f", data).ok());
-  const auto st = fs.stat("/f");
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(st->size, 5000u);
-  EXPECT_EQ(st->extents, (5000 + net::kMss - 1) / net::kMss);
-  EXPECT_GT(st->mtime, 0);
-}
-
-TEST_F(PmFsTest, IngestFromNetworkPackets) {
-  const auto data = rand_bytes(1400, 22);
-  auto pkts = rig.deliver(env, data);
-  ASSERT_EQ(pkts.size(), 1u);
-  const u32 offs[1] = {pkts[0]->payload_off};
-  const u32 lens[1] = {1400};
-  ASSERT_TRUE(fs.ingest_file("/net/file", pkts, offs, lens).ok());
-  rig.pool.free(pkts[0]);
-  EXPECT_EQ(fs.read_file("/net/file").value(), data);
-  // mtime comes from the NIC hardware timestamp.
-  EXPECT_GT(fs.stat("/net/file")->mtime, 0);
-  EXPECT_TRUE(fs.verify("/net/file").ok());
-}
-
-TEST_F(PmFsTest, OverwriteReplacesContents) {
-  ASSERT_TRUE(fs.write_file("/f", rand_bytes(100, 23)).ok());
-  ASSERT_TRUE(fs.write_file("/f", rand_bytes(200, 24)).ok());
-  EXPECT_EQ(fs.read_file("/f").value(), rand_bytes(200, 24));
-  EXPECT_EQ(fs.file_count(), 1u);
-}
-
-TEST_F(PmFsTest, UnlinkReclaims) {
-  const u64 empty = rig.pmpool.allocated_bytes();
-  ASSERT_TRUE(fs.write_file("/f", rand_bytes(3000, 25)).ok());
-  EXPECT_TRUE(fs.unlink("/f"));
-  EXPECT_FALSE(fs.unlink("/f"));
-  EXPECT_EQ(fs.read_file("/f").errc(), Errc::not_found);
-  EXPECT_EQ(rig.pmpool.allocated_bytes(), empty);
-}
-
-TEST_F(PmFsTest, ListOrdered) {
-  ASSERT_TRUE(fs.write_file("/b", rand_bytes(10, 26)).ok());
-  ASSERT_TRUE(fs.write_file("/a", rand_bytes(10, 27)).ok());
-  ASSERT_TRUE(fs.write_file("/c", rand_bytes(10, 28)).ok());
-  std::string names;
-  fs.list([&](std::string_view p, const PmFs::FileStat&) {
-    names += p;
-    return true;
-  });
-  EXPECT_EQ(names, "/a/b/c");
-}
-
-TEST_F(PmFsTest, EmitPktsSendfileStyle) {
-  const auto data = rand_bytes(6000, 29);
-  ASSERT_TRUE(fs.write_file("/f", data).ok());
-  auto pkts = fs.emit_pkts("/f");
-  ASSERT_TRUE(pkts.ok());
-  std::vector<u8> assembled;
-  for (PktBuf* pb : pkts.value()) {
-    const auto bytes = net::super_payload(rig.pool, *pb);
-    assembled.insert(assembled.end(), bytes.begin(), bytes.end());
-    rig.pool.free(pb);
-  }
-  EXPECT_EQ(assembled, data);
-}
-
-TEST_F(PmFsTest, NameValidation) {
-  EXPECT_EQ(fs.write_file("", rand_bytes(1, 30)).errc(), Errc::invalid_argument);
-  EXPECT_EQ(fs.write_file(std::string(200, 'x'), rand_bytes(1, 31)).errc(),
-            Errc::invalid_argument);
-}
-
-TEST_F(PmFsTest, CrashRecovery) {
-  std::map<std::string, std::vector<u8>> model;
-  for (int i = 0; i < 20; i++) {
-    const std::string path = "/dir/file" + std::to_string(i);
-    auto data = rand_bytes(500 + static_cast<std::size_t>(i) * 211, 300 + i);
-    ASSERT_TRUE(fs.write_file(path, data).ok());
-    model[path] = std::move(data);
-  }
-  rig.dev.crash();
-
-  auto pmpool2 = pm::PmPool::recover(rig.dev, "pkts");
-  ASSERT_TRUE(pmpool2.ok());
-  net::PmArena arena2(rig.dev, pmpool2.value());
-  net::PktBufPool pool2(env, arena2);
-  auto rec = PmFs::recover(pool2, "fs");
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec->file_count(), model.size());
-  for (const auto& [p, d] : model) {
-    ASSERT_TRUE(rec->verify(p).ok()) << p;
-    EXPECT_EQ(rec->read_file(p).value(), d) << p;
-  }
-  EXPECT_TRUE(rec->unlink("/dir/file0"));
-  ASSERT_TRUE(rec->write_file("/post-crash", rand_bytes(100, 888)).ok());
-  EXPECT_EQ(rec->file_count(), model.size());
 }
 
 }  // namespace

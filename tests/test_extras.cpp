@@ -1,12 +1,10 @@
 // Additional edge-case and feature tests: checksum slice narrowing,
-// TCP flow-control corner cases, the packet tap, and cross-cutting
-// properties that earlier suites did not pin down.
+// TCP flow-control corner cases, and cross-cutting properties that
+// earlier suites did not pin down.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 
-#include "net/pkttap.h"
 #include "net/tcp.h"
 #include "nic/nic.h"
 
@@ -162,128 +160,6 @@ TEST(TcpFlowControl, ManyConnectionsShareOneServerCore) {
   EXPECT_EQ(echoes, kConns);
   EXPECT_EQ(replies, kConns);
   EXPECT_GT(one_core.busy_ns(), 0);
-}
-
-// ---------- PktTap ----------
-
-TEST(PktTap, CapturesClonesWithoutDisturbingDelivery) {
-  sim::Env env;
-  net::HeapArena arena(env);
-  net::PktBufPool pool(env, arena);
-  net::PktTap tap(pool, /*capacity=*/4);
-
-  std::vector<net::PktBuf*> delivered;
-  auto next = [&](net::PktBuf* pb) { delivered.push_back(pb); };
-
-  for (int i = 0; i < 6; i++) {
-    net::PktBuf* pb = pool.alloc(128);
-    pb->len = 4;
-    std::memcpy(pool.writable(*pb, 4).data(), &i, 4);
-    tap.tap(pb, next);
-  }
-  ASSERT_EQ(delivered.size(), 6u);
-  EXPECT_EQ(tap.size(), 4u);        // ring capacity
-  EXPECT_EQ(tap.captured(), 6u);
-  EXPECT_EQ(tap.evicted(), 2u);
-
-  // The app frees its packets; the tap's clones keep the data alive.
-  for (auto* pb : delivered) pool.free(pb);
-  int expect = 2;  // oldest two evicted
-  tap.each([&](const net::PktTap::Captured& c) {
-    int v;
-    std::memcpy(&v, pool.data(*c.clone), 4);
-    EXPECT_EQ(v, expect++);
-    return true;
-  });
-  EXPECT_EQ(expect, 6);
-
-  tap.clear();
-  EXPECT_EQ(pool.live_data_blocks(), 0u);  // nothing leaked
-}
-
-TEST(PktTap, DisabledTapPassesThrough) {
-  sim::Env env;
-  net::HeapArena arena(env);
-  net::PktBufPool pool(env, arena);
-  net::PktTap tap(pool, 4);
-  tap.set_enabled(false);
-  net::PktBuf* pb = pool.alloc(64);
-  bool seen = false;
-  tap.tap(pb, [&](net::PktBuf* p) {
-    seen = true;
-    pool.free(p);
-  });
-  EXPECT_TRUE(seen);
-  EXPECT_EQ(tap.size(), 0u);
-}
-
-TEST(PktTap, DropsCaptureWhenClonePoolExhausted) {
-  // The pool's metadata limit models a fixed driver descriptor pool; a
-  // tap must stay best-effort when it is exhausted — the capture is
-  // dropped and counted, the original still flows.
-  sim::Env env;
-  net::HeapArena arena(env);
-  net::PktBufPool pool(env, arena);
-  pool.set_meta_limit(2);  // room for the original + exactly one clone
-  obs::MetricRegistry reg;
-  net::PktTap tap(pool, 8);
-  tap.set_metrics(&reg);
-
-  std::vector<net::PktBuf*> delivered;
-  auto next = [&](net::PktBuf* pb) { delivered.push_back(pb); };
-
-  net::PktBuf* pb = pool.alloc(64);
-  ASSERT_NE(pb, nullptr);
-  tap.tap(pb, next);  // clone takes the last descriptor
-  EXPECT_EQ(tap.captured(), 1u);
-  EXPECT_EQ(tap.dropped(), 0u);
-
-  tap.tap(pb, next);  // pool at the cap: capture dropped, delivery intact
-  ASSERT_EQ(delivered.size(), 2u);
-  EXPECT_EQ(tap.captured(), 1u);
-  EXPECT_EQ(tap.size(), 1u);
-  EXPECT_EQ(tap.dropped(), 1u);
-  if (obs::kEnabled) {
-    EXPECT_EQ(reg.counter("tap.captured").value(), 1u);
-    EXPECT_EQ(reg.counter("tap.dropped").value(), 1u);
-  }
-
-  tap.clear();
-  pool.free(pb);
-  EXPECT_EQ(pool.live_data_blocks(), 0u);
-}
-
-TEST(PktTap, EndToEndCaptureOnServer) {
-  // Tap between NIC and stack on a live connection: every segment of the
-  // exchange shows up in the ring with metadata intact.
-  sim::Env env;
-  nic::Fabric fabric(env);
-  TestHost client(env, fabric, 1, false);
-  TestHost server(env, fabric, 2, true);
-  net::PktTap tap(server.pool, 64);
-  server.nic.set_sink([&](net::PktBuf* pb) {
-    tap.tap(pb, [&](net::PktBuf* p) { server.stack.rx(p); });
-  });
-
-  ASSERT_TRUE(server.stack.listen(80, [&](net::TcpConn& c) {
-    c.on_readable = [&](net::TcpConn& cc) {
-      for (auto* pb : cc.read_pkts()) server.pool.free(pb);
-    };
-  }).ok());
-  net::TcpConn* c = client.stack.connect(2, 80);
-  c->on_established = [&](net::TcpConn& cc) {
-    (void)cc.send(rand_bytes(2000, 5));
-  };
-  env.engine.run_until_idle();
-
-  EXPECT_GE(tap.captured(), 3u);  // SYN, data segments, ...
-  u64 data_segs = 0;
-  tap.each([&](const net::PktTap::Captured& cap) {
-    if (cap.clone->payload_len() > 0) data_segs++;
-    EXPECT_GT(cap.clone->hw_tstamp, 0);  // NIC metadata rode along
-    return true;
-  });
-  EXPECT_EQ(data_segs, 2u);  // 2000 B = 2 segments
 }
 
 // ---------- misc cross-cutting ----------

@@ -57,7 +57,9 @@ TEST(RbTree, InOrderIterationSorted) {
   u32 prev = 0;
   int count = 0;
   for (Item* it = t.first(); it != nullptr; it = t.next(*it)) {
-    if (count > 0) EXPECT_LE(prev, it->seq);
+    if (count > 0) {
+      EXPECT_LE(prev, it->seq);
+    }
     prev = it->seq;
     count++;
   }
@@ -138,7 +140,9 @@ TEST_P(RbTreeFuzz, MatchesMultimapModel) {
       t.erase(*it->second);
       model.erase(it);
     }
-    if (step % 100 == 0) ASSERT_GE(t.validate(), 0) << "step " << step;
+    if (step % 100 == 0) {
+      ASSERT_GE(t.validate(), 0) << "step " << step;
+    }
     ASSERT_EQ(t.size(), model.size());
   }
   ASSERT_GE(t.validate(), 0);

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <map>
+#include <string>
 
 #include "core/pktstore.h"
 #include "net/homa.h"
@@ -24,7 +25,8 @@ std::vector<u8> rand_bytes(std::size_t n, u64 seed) {
 }
 
 struct UdpHost {
-  UdpHost(sim::Env& env, nic::Fabric& fabric, u32 ip, bool bypass)
+  UdpHost(sim::Env& env, nic::Fabric& fabric, u32 ip, bool bypass,
+          bool csum_offload_tx = true)
       : arena(env),
         pool(env, arena),
         nic(env, fabric, ip, pool),
@@ -33,6 +35,7 @@ struct UdpHost {
               UdpStack::Options o;
               o.ip = ip;
               o.kernel_bypass = bypass;
+              o.csum_offload_tx = csum_offload_tx;
               return o;
             }()) {
     nic.set_sink([this](PktBuf* pb) {
@@ -120,6 +123,49 @@ TEST_F(UdpTest, CorruptionCaughtByUdpChecksum) {
   env.engine.run_until_idle();
   EXPECT_EQ(delivered, 0);  // corrupted frame never reaches the app
   EXPECT_GT(b.nic.rx_csum_errors() + b.nic.rx_drops(), 0u);
+}
+
+TEST(UdpSoftwareChecksum, LinearPayloadThenFragOfEitherParity) {
+  // A zero-copy datagram from a host without TX checksum offload (a Homa
+  // data packet on a replicating host): linear payload bytes, then a
+  // frag. After an odd-length linear part the frag starts at an odd
+  // offset, and the software checksum must sum it there.
+  for (const std::size_t linear : {100u, 101u}) {
+    SCOPED_TRACE("linear payload " + std::to_string(linear));
+    sim::Env env;
+    nic::Fabric fabric(env);
+    UdpHost a(env, fabric, kAIp, false, /*csum_offload_tx=*/false);
+    UdpHost b(env, fabric, kBIp, false);
+    std::vector<u8> got;
+    ASSERT_TRUE(b.udp
+                    .bind(5000,
+                          [&](u32, u16, PktBuf* pb) {
+                            const auto p = b.pool.payload(*pb);
+                            got.assign(p.begin(), p.end());
+                            b.pool.free(pb);
+                          })
+                    .ok());
+    const auto head = rand_bytes(linear, 7);
+    const auto frag = rand_bytes(300, 8);
+    const u32 len = static_cast<u32>(kUdpAllHdrLen + head.size());
+    PktBuf* pb = a.pool.alloc(len);
+    ASSERT_NE(pb, nullptr);
+    pb->len = len;
+    pb->payload_off = static_cast<u16>(kUdpAllHdrLen);
+    std::memcpy(a.pool.writable(*pb, len).data() + kUdpAllHdrLen, head.data(),
+                head.size());
+    const auto h = a.arena.alloc(frag.size());
+    ASSERT_TRUE(h.ok());
+    std::memcpy(a.arena.data(h.value(), frag.size()), frag.data(), frag.size());
+    ASSERT_TRUE(
+        a.pool.add_frag(*pb, h.value(), static_cast<u32>(frag.size())).ok());
+    ASSERT_TRUE(a.udp.send_pkt_to(kBIp, 5000, 6000, pb).ok());
+    env.engine.run_until_idle();
+    EXPECT_EQ(b.nic.rx_csum_errors(), 0u);
+    std::vector<u8> want = head;
+    want.insert(want.end(), frag.begin(), frag.end());
+    EXPECT_EQ(got, want);
+  }
 }
 
 TEST_F(UdpTest, BypassIsCheaperThanKernel) {
@@ -247,7 +293,9 @@ TEST_P(HomaLossy, ReliableUnderLoss) {
   for (const auto& [id, data] : sent) {
     EXPECT_EQ(got.at(id), data) << "msg " << id;
   }
-  if (GetParam() > 0) EXPECT_GT(a.homa.resends() + b.homa.resends(), 0u);
+  if (GetParam() > 0) {
+    EXPECT_GT(a.homa.resends() + b.homa.resends(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Loss, HomaLossy, ::testing::Values(0.0, 0.02, 0.1));
