@@ -8,7 +8,7 @@ namespace papm {
 
 void Stats::ensure_sorted() const {
   if (sorted_) return;
-  sorted_samples_ = samples_;
+  sorted_samples_.assign(samples_.begin(), samples_.end());
   std::sort(sorted_samples_.begin(), sorted_samples_.end());
   sorted_ = true;
 }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,11 @@ namespace papm {
 
 // Accumulates samples (e.g. per-request RTTs in ns) and reports summary
 // statistics. Percentile queries sort a copy lazily.
+//
+// Samples live in a deque, not a vector: a long run adds them in fixed
+// blocks, so memory grows by one block at a time. A vector would double
+// and copy its buffer, and where the run stopped relative to a doubling
+// would decide the process's peak RSS.
 class Stats {
  public:
   void add(double sample) {
@@ -59,7 +65,7 @@ class Stats {
  private:
   void ensure_sorted() const;
 
-  std::vector<double> samples_;
+  std::deque<double> samples_;
   double sum_ = 0;
   mutable std::vector<double> sorted_samples_;
   mutable bool sorted_ = false;
