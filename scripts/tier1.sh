@@ -12,7 +12,9 @@
 # registered metric an entry in docs/OBSERVABILITY.md and every
 # documented metric a registration; README's test count and Table 1 RTT
 # cells match the default build), runs every example to a zero exit,
-# and verifies the telemetry plane:
+# checks every bench with a committed baseline (bench/baselines/) against
+# it field for field (scripts/bench_diff.sh), and verifies the telemetry
+# plane:
 # an armed-but-unscraped admin plane is byte-identical to the baseline,
 # a scraped one stays under the 1%-of-p99 overhead budget, the
 # flight-recorder crash sweep loses no acked record and recovers no
@@ -72,48 +74,26 @@ for ex in build/examples/*; do
   echo "$ex: ok"
 done
 
-echo "== tier-1: open-loop smoke + determinism (byte-identical reruns) =="
-build/bench/bench_openloop --conns 1000 --seconds 1 --json build/openloop_a.json
-build/bench/bench_openloop --conns 1000 --seconds 1 --json build/openloop_b.json
-cmp build/openloop_a.json build/openloop_b.json
-echo "bench_openloop: reruns byte-identical"
-# The GET-heavy mix (zero-copy GET TX, window queueing) reruns bytewise too.
-build/bench/bench_openloop --conns 1000 --seconds 1 --get-ratio 0.5 --zipf 0.99 \
-  --json build/openloop_get_a.json
-build/bench/bench_openloop --conns 1000 --seconds 1 --get-ratio 0.5 --zipf 0.99 \
-  --json build/openloop_get_b.json
-cmp build/openloop_get_a.json build/openloop_get_b.json
-echo "bench_openloop --get-ratio 0.5 --zipf 0.99: reruns byte-identical"
-
-echo "== tier-1: slicer smoke + determinism (byte-identical reruns) =="
-build/bench/bench_slicer --quick --json build/slicer_a.json
-build/bench/bench_slicer --quick --json build/slicer_b.json
-cmp build/slicer_a.json build/slicer_b.json
-echo "bench_slicer: reruns byte-identical"
-
-echo "== tier-1: repl smoke + determinism (byte-identical reruns) =="
-build/bench/bench_repl --quick --json build/repl_a.json
-build/bench/bench_repl --quick --json build/repl_b.json
-cmp build/repl_a.json build/repl_b.json
-echo "bench_repl: reruns byte-identical (and zero acked writes lost)"
+echo "== tier-1: bench records match the committed baselines =="
+# The simulated numbers are deterministic, so table1, fig2, the scaling
+# sweep, open-loop (PUT and GET-heavy), slicer, repl and the
+# flight-recorder crash sweep must each reproduce bench/baselines/
+# field for field (git_sha aside). A bench that fails its own check
+# (an acked write lost, a phantom record) exits nonzero and fails here
+# too. The fresh records stay in build/bench_diff/ for the checks below.
+scripts/bench_diff.sh build
 
 echo "== tier-1: admin plane armed-but-unscraped is free (byte-identity) =="
 # An --admin run must be bit-identical to the baseline: the endpoint
 # branch only runs for admin targets, so arming the plane costs zero
 # simulated time. Only the recorded flag itself may differ.
 build/bench/bench_openloop --conns 1000 --seconds 1 --admin --json build/openloop_admin.json
-sed 's/"admin": 1/"admin": 0/' build/openloop_admin.json | cmp - build/openloop_a.json
+sed 's/"admin": 1/"admin": 0/' build/openloop_admin.json | cmp - build/bench_diff/openloop.json
 echo "bench_openloop: --admin run bit-identical to baseline"
 
 echo "== tier-1: admin overhead budget (<1% of p99, scraped at 500 Hz) =="
 build/bench/bench_openloop --admin-overhead --seconds 0.1
 echo "bench_openloop: admin overhead within budget"
-
-echo "== tier-1: flight-recorder crash sweep (acked prefix, no phantoms) =="
-build/bench/bench_recovery --flightrec --json build/flightrec_a.json
-build/bench/bench_recovery --flightrec --json build/flightrec_b.json
-cmp build/flightrec_a.json build/flightrec_b.json
-echo "bench_recovery: flightrec sweep clean and byte-identical"
 
 echo "== tier-1: ASan+UBSan build =="
 cmake --preset asan >/dev/null
@@ -136,7 +116,7 @@ build-noobs/bench/bench_openloop --conns 1000 --seconds 1 --admin --flightrec \
 sed -e 's/"obs": "off"/"obs": "on"/' \
     -e 's/"admin": 1/"admin": 0/' \
     -e 's/"flightrec": 1/"flightrec": 0/' build/openloop_noobs.json \
-  | cmp - build/openloop_a.json
+  | cmp - build/bench_diff/openloop.json
 echo "bench_openloop: PAPM_OBS=OFF telemetry plane compiled out bit-identically"
 
 echo "== tier-1: OK =="

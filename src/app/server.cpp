@@ -238,25 +238,6 @@ void KvServer::epoch_watchdog_fire(u32 shard, u64 serial) {
   host_.cpu().run_on(shard, [&sh] { sh.batcher->close(); });
 }
 
-void KvServer::arm_epoch_drain_check(u32 shard) {
-  Shard& sh = shards_[shard];
-  if (!sh.batcher.has_value() || !sh.batcher->epoch_open()) return;
-  auto& env = host_.env();
-  const u64 serial = sh.batcher->epoch_serial();
-  const u32 ops = sh.batcher->ops_in_epoch();
-  env.engine.schedule_in(
-      pm::FlushBatcher::kIdleCloseNs,
-      [this, shard, serial, ops] {
-        Shard& sh = shards_[shard];
-        if (!sh.batcher.has_value() || !sh.batcher->epoch_open()) return;
-        if (sh.batcher->epoch_serial() != serial ||
-            sh.batcher->ops_in_epoch() != ops) {
-          return;  // a newer op joined; its own drain check follows
-        }
-        host_.cpu().run_on(shard, [&sh] { sh.batcher->close(); });
-      });
-}
-
 Status KvServer::normalize_pkts(ConnState& st) {
   net::PktBufPool& pool = host_.pool(st.shard);
   auto& env = host_.env();
@@ -548,6 +529,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
         if (sh.raw_off + st.body_len > kRawRegion) sh.raw_off = 0;
         auto& dev = host_.pm_device();
         std::size_t skip = st.head_len;
+        std::size_t remaining = st.body_len;
         u64 at = sh.raw_region + sh.raw_off;
         const SimTime t0 = env.now();
         for (net::PktBuf* pb : st.pkts) {
@@ -556,19 +538,19 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
             skip -= p.size();
             continue;
           }
-          const auto chunk = p.subspan(skip);
+          // Only the body: bytes past Content-Length are not the value.
+          const auto chunk =
+              p.subspan(skip, std::min(p.size() - skip, remaining));
           skip = 0;
           env.clock().advance(env.cost.copy_cost(chunk.size()));
           dev.store(at, chunk);
           at += chunk.size();
+          remaining -= chunk.size();
+          if (remaining == 0) break;
         }
         bd.copy_ns += env.now() - t0;
         const SimTime t1 = env.now();
-        if (sh.batcher.has_value()) {
-          sh.batcher->persist(sh.raw_region + sh.raw_off, st.body_len);
-        } else {
-          dev.persist(sh.raw_region + sh.raw_off, st.body_len);
-        }
+        sh.batcher->persist(sh.raw_region + sh.raw_off, st.body_len);
         bd.persist_ns += env.now() - t1;
         sh.raw_off += align_up(st.body_len, kCacheLine);
       }
@@ -757,7 +739,6 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
       gate->shard = st.shard;
       gate->req = tr.req();
       gate->traced = tr.active();
-      gate->t0 = env.now();
       if (defer_ack) {
         sh.batcher->on_committed([this, gate] {
           gate->local = true;
@@ -768,9 +749,8 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
         gate->local = true;
         gate->local_at = env.now();
       }
-      auto done = [this, gate](bool degraded) {
+      auto done = [this, gate](bool /*degraded*/) {
         gate->remote = true;
-        gate->degraded = degraded;
         gate->remote_at = host_.env().now();
         gate_release(gate);
       };
@@ -798,7 +778,10 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   if (sh.batcher.has_value()) {
     sh.batcher->end_op();
     arm_epoch_watchdog(st.shard);
-    arm_epoch_drain_check(st.shard);
+    // A drained burst closes as pinned work on the shard's core.
+    sh.batcher->arm_drain_check([this, shard = st.shard] {
+      close_epoch(shard);
+    });
   }
   ops_++;
   sh.requests++;

@@ -19,14 +19,15 @@
 // Scale-out (S1): on a multi-queue host the server runs one complete
 // pipeline per datapath shard — its own listener on that shard's pinned
 // TCP stack, its own connection states, and its own backend instance
-// over the shard's private PM pool. RSS flow affinity makes every PUT
-// land in the ingress core's shard (write-local); GETs consult the local
-// shard first and fall back to the others (read-merge) — the client's
-// deterministic per-key values make cross-shard duplicates byte-
-// identical, so reads stay correct without hot-path sharing. DELETE
-// erases everywhere; scans merge per-shard iterators with dedup. With
-// one shard all of this degenerates to the classic single-pipeline
-// server.
+// over the shard's private PM pool. Keys do not hash to shards: every
+// PUT lands in the ingress core's shard (write-local), and a GET reads
+// its own shard first and the others only on a miss (read-merge). DELETE
+// erases everywhere; scans merge per-shard iterators with dedup. Known
+// defect: a key written through two shards keeps a copy in each with no
+// order between them, so a GET can return the older value (cross-shard
+// stale read, DESIGN.md §6); the benches' clients write one fixed value
+// per key, which hides it. With one shard all of this degenerates to the
+// classic single-pipeline server.
 #pragma once
 
 #include <deque>
@@ -237,8 +238,6 @@ class KvServer {
     bool local = false;
     bool remote = false;
     bool fired = false;
-    bool degraded = false;
-    SimTime t0 = 0;        // submit time (repl span start)
     SimTime local_at = 0;
     SimTime remote_at = 0;
   };
@@ -249,11 +248,6 @@ class KvServer {
   // open epoch; fires as pinned CPU work at open + max_deferral.
   void arm_epoch_watchdog(u32 shard);
   void epoch_watchdog_fire(u32 shard, u64 serial);
-  // Schedules a drain check at now + FlushBatcher::kIdleCloseNs: if no
-  // newer op has joined the shard's epoch by then, the burst drained
-  // (closed-loop clients are all blocked on the held acks) and the epoch
-  // closes without waiting out the full deadline. Stale checks no-op.
-  void arm_epoch_drain_check(u32 shard);
   void on_readable(net::TcpConn& conn);
   bool try_parse_head(ConnState& st);
   // Copies any buffered segment whose PktBuf came from another shard's

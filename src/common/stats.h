@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -30,21 +29,11 @@ class Stats {
   [[nodiscard]] double mean() const noexcept {
     return samples_.empty() ? 0.0 : sum_ / static_cast<double>(samples_.size());
   }
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-
   // Nearest-rank percentile: the smallest sample whose cumulative
   // frequency covers p% of the distribution. p is clamped to [0, 100];
   // p <= 0 returns the minimum, empty returns 0, a single sample is
   // returned for every p. Always an actual sample — never interpolated.
   [[nodiscard]] double percentile(double p) const;
-  [[nodiscard]] double median() const { return percentile(50.0); }
-  [[nodiscard]] double stddev() const;
-
-  // ASCII sketch of the sample distribution: `buckets` equal-width rows
-  // between min and max, each "lo..hi | #### count". Empty stats yield
-  // "(no samples)". For quick eyeballing in bench output.
-  [[nodiscard]] std::string hist(int buckets = 10, int width = 40) const;
 
   // Folds another collection's samples into this one. Multi-client-host
   // sweeps (bench_openloop beyond the u16 ephemeral-port limit) merge
@@ -70,8 +59,5 @@ class Stats {
   mutable std::vector<double> sorted_samples_;
   mutable bool sorted_ = false;
 };
-
-// Formats nanoseconds as a human-readable microsecond string ("26.71").
-[[nodiscard]] std::string format_us(double ns, int decimals = 2);
 
 }  // namespace papm

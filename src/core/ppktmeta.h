@@ -57,7 +57,10 @@ static_assert(sizeof(PPktMeta) <= kCacheLine,
 class PChain {
  public:
   PChain(pm::PmDevice& dev, pm::PmPool& pmpool, net::PktBufPool& pktpool)
-      : dev_(&dev), pmpool_(&pmpool), pktpool_(&pktpool) {}
+      : dev_(&dev),
+        pmpool_(&pmpool),
+        pktpool_(&pktpool),
+        batcher_(&dev.passthrough()) {}
 
   struct IngestOptions {
     bool reuse_checksum = true;   // inherit the NIC checksum vs CRC32C
@@ -111,18 +114,20 @@ class PChain {
   [[nodiscard]] pm::PmPool& pmpool() noexcept { return *pmpool_; }
 
   // Group-commit routing: value-byte and metadata flushes ride the epoch
-  // fences while the batcher is batching.
-  void set_batcher(pm::FlushBatcher* b) noexcept { batcher_ = b; }
-  [[nodiscard]] pm::FlushBatcher* batcher() const noexcept { return batcher_; }
+  // fences while the batcher is batching. Null restores the device's
+  // pass-through batcher.
+  void set_batcher(pm::FlushBatcher* b) noexcept {
+    batcher_ = b != nullptr ? b : &dev_->passthrough();
+  }
+  [[nodiscard]] pm::FlushBatcher& batcher() const noexcept { return *batcher_; }
 
  private:
   Result<u64> alloc_meta(const PPktMeta& m);
-  void persist_range(u64 off, u64 len);
 
   pm::PmDevice* dev_;
   pm::PmPool* pmpool_;
   net::PktBufPool* pktpool_;
-  pm::FlushBatcher* batcher_ = nullptr;
+  pm::FlushBatcher* batcher_;
 };
 
 }  // namespace papm::core

@@ -88,9 +88,12 @@ class FlightRecorder {
   [[nodiscard]] static Result<FlightRecorder> recover(pm::PmDevice& dev,
                                                       u16 shard);
 
-  /// Routes flush/fence/publication through the group-commit path when
-  /// `b` is batching; null (or idle) falls back to fence-per-record.
-  void set_batcher(pm::FlushBatcher* b) noexcept { batcher_ = b; }
+  /// Routes flush/fence/publication through `b` (withheld to the epoch
+  /// close while it batches); null restores the device's pass-through
+  /// batcher, which fences per record.
+  void set_batcher(pm::FlushBatcher* b) noexcept {
+    batcher_ = b != nullptr ? b : &dev_->passthrough();
+  }
 
   /// Registers obs.flightrec_records / obs.flightrec_wraps counters.
   void set_metrics(MetricRegistry* r);
@@ -128,7 +131,11 @@ class FlightRecorder {
 
  private:
   FlightRecorder(pm::PmDevice& dev, u64 region, u32 capacity, u16 shard)
-      : dev_(&dev), region_(region), capacity_(capacity), shard_(shard) {}
+      : dev_(&dev),
+        region_(region),
+        capacity_(capacity),
+        shard_(shard),
+        batcher_(&dev.passthrough()) {}
 
   [[nodiscard]] u64 slot_off(u64 index) const noexcept {
     return region_ + kHeaderLen + index * kSlotSize;
@@ -140,7 +147,7 @@ class FlightRecorder {
   u16 shard_;
   u64 seq_ = 0;    // last published seq (next append publishes seq_+1)
   u64 wraps_ = 0;  // appends that overwrote a previously written slot
-  pm::FlushBatcher* batcher_ = nullptr;
+  pm::FlushBatcher* batcher_;
   Counter* m_records_ = nullptr;
   Counter* m_wraps_ = nullptr;
 };

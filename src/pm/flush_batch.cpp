@@ -55,11 +55,7 @@ void FlushBatcher::end_op() {
   if (ops_in_epoch_ >= policy_.max_epoch_ops) close();
 }
 
-void FlushBatcher::flush(u64 offset, u64 len) {
-  if (!batching_) {
-    dev_->clwb(offset, len);
-    return;
-  }
+void FlushBatcher::flush_batched(u64 offset, u64 len) {
   if (len == 0) return;
   const u64 first = offset / kCacheLine;
   const u64 last = (offset + len - 1) / kCacheLine;
@@ -76,38 +72,12 @@ void FlushBatcher::flush(u64 offset, u64 len) {
   if (coalesced > 0) dev_->note_coalesced_clwb(coalesced);
 }
 
-void FlushBatcher::fence() {
-  if (!batching_) {
-    dev_->sfence();
-    return;
-  }
-  epoch_deferred_fences_++;
-}
-
-void FlushBatcher::publish_u64(u64 offset, u64 value) {
-  if (!batching_) {
-    dev_->store_u64(offset, value);
-    dev_->persist(offset, 8);
-    return;
-  }
-  dev_->store_u64_deferred(offset, value);
-  publishes_.push_back(offset);
-}
-
 void FlushBatcher::on_committed(std::function<void()> cb) {
   if (!batching_) {
     cb();
     return;
   }
   acks_.push_back(std::move(cb));
-}
-
-void FlushBatcher::defer(std::function<void()> fn) {
-  if (!batching_) {
-    fn();
-    return;
-  }
-  quarantine_.push_back(std::move(fn));
 }
 
 void FlushBatcher::close() {
@@ -146,14 +116,6 @@ void FlushBatcher::close() {
   quarantine_.clear();
   for (auto& cb : acks) cb();
   for (auto& fn : quarantine) fn();
-}
-
-void FlushBatcher::maybe_close(u64 now_ns, bool idle) {
-  if (epoch_open_ &&
-      (idle || now_ns - epoch_opened_ns_ >= policy_.max_deferral_ns)) {
-    close();
-  }
-  if (active_ && idle && !epoch_open_) deactivate();
 }
 
 void FlushBatcher::deactivate() {

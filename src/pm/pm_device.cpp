@@ -5,10 +5,16 @@
 #include <new>
 #include <stdexcept>
 
+#include "pm/flush_batch.h"
+
 namespace papm::pm {
 
 PmDevice::PmDevice(sim::Env& env, u64 size)
-    : env_(env), size_(size), touched_(size), ever_(size) {
+    : env_(env),
+      size_(size),
+      passthrough_(std::make_unique<FlushBatcher>(*this)),
+      touched_(size),
+      ever_(size) {
   if (size % kCacheLine != 0 || size < sizeof(Header) + kCacheLine) {
     throw std::invalid_argument("PmDevice: bad size");
   }
@@ -23,6 +29,8 @@ PmDevice::PmDevice(sim::Env& env, u64 size)
   // The header is born durable: a real device would be formatted offline.
   std::memcpy(persisted_.get(), mem_.get(), sizeof(Header));
 }
+
+PmDevice::~PmDevice() = default;
 
 u64 PmDevice::data_base() const noexcept {
   return align_up(sizeof(Header), kCacheLine);

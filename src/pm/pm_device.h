@@ -45,6 +45,8 @@
 
 namespace papm::pm {
 
+class FlushBatcher;
+
 class PmDevice {
  public:
   /// Creates a zeroed region of `size` bytes. `size` must be a multiple of
@@ -52,9 +54,15 @@ class PmDevice {
   /// The header is born durable (a real device is formatted offline).
   /// Pages are materialized on first write, not here.
   PmDevice(sim::Env& env, u64 size);
+  ~PmDevice();
 
   PmDevice(const PmDevice&) = delete;
   PmDevice& operator=(const PmDevice&) = delete;
+
+  /// The batcher every persistent structure on this device persists
+  /// through until a group-commit batcher is attached: it never opens an
+  /// epoch, so each call is the plain per-op clwb/sfence/store protocol.
+  [[nodiscard]] FlushBatcher& passthrough() noexcept { return *passthrough_; }
 
   [[nodiscard]] u64 size() const noexcept { return size_; }
 
@@ -335,6 +343,7 @@ class PmDevice {
 
   sim::Env& env_;
   u64 size_;
+  std::unique_ptr<FlushBatcher> passthrough_;
   Image mem_;        // volatile view (includes CPU caches)
   Image persisted_;  // what survives power loss
   PageSet touched_;  // pages written since the last cut

@@ -101,7 +101,6 @@ class ReplicaNode {
                  std::size_t val_at, u32 val_len, u64 trace_id);
   void publish_applied(u64 seq);
   void send_ack();
-  void arm_epoch_drain();
   void attach_batcher();
   void free_delivery(net::HomaDelivery& d);
   void snap_item(const net::HomaDelivery& d);

@@ -91,8 +91,9 @@ class LsmStore {
   }
 
   // Group-commit routing for the active memtable and the WAL; survives
-  // rotation/compaction (fresh tables are re-attached). Frozen tables
-  // are only mutated by compact(), which stays on legacy fences.
+  // rotation/compaction (fresh tables are re-attached). Null restores
+  // the device's pass-through batcher. compact() builds its merged table
+  // on the pass-through batcher (per-op fences) before attaching it.
   void set_batcher(pm::FlushBatcher* b) noexcept {
     batcher_ = b;
     if (active_.has_value()) active_->set_batcher(b);

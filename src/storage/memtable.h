@@ -96,9 +96,10 @@ class PmMemtable {
   // Group-commit routing: value-record flushes ride the epoch fences, the
   // index routes its publications through the batcher, and replaced
   // records are quarantined past the epoch close (an old value must
-  // outlive every cut that could still resurrect it).
+  // outlive every cut that could still resurrect it). Null restores the
+  // device's pass-through batcher.
   void set_batcher(pm::FlushBatcher* b) noexcept {
-    batcher_ = b;
+    batcher_ = b != nullptr ? b : &dev_->passthrough();
     index_.set_batcher(b);
   }
 
@@ -107,7 +108,10 @@ class PmMemtable {
 
   PmMemtable(pm::PmDevice& dev, pm::PmPool& pool,
              container::PSkipList index)
-      : dev_(&dev), pool_(&pool), index_(std::move(index)) {}
+      : dev_(&dev),
+        pool_(&pool),
+        index_(std::move(index)),
+        batcher_(&dev.passthrough()) {}
 
   Status put_impl(std::string_view key, std::span<const u8> value, u32 flags,
                   const StoreKnobs& knobs, OpBreakdown* bd);
@@ -119,7 +123,7 @@ class PmMemtable {
   pm::PmDevice* dev_;
   pm::PmPool* pool_;
   container::PSkipList index_;
-  pm::FlushBatcher* batcher_ = nullptr;
+  pm::FlushBatcher* batcher_;
   bool batched_ = false;
   // Scratch destination used when index insertion is disabled (the §3
   // "skip this logical operation" configuration): the copy and flush

@@ -59,8 +59,11 @@ class Wal {
   // record clwb's ride the epoch's first fence and the tail pointer is a
   // withheld publication retired by the second — write-ahead ordering is
   // preserved per epoch instead of per record. append() then means
-  // "durable once the epoch the batcher acks in retires".
-  void set_batcher(pm::FlushBatcher* b) noexcept { batcher_ = b; }
+  // "durable once the epoch the batcher acks in retires". Null restores
+  // the device's pass-through batcher.
+  void set_batcher(pm::FlushBatcher* b) noexcept {
+    batcher_ = b != nullptr ? b : &dev_->passthrough();
+  }
 
   // Mirrors append/truncate activity into registry counters:
   // wal.appends / wal.append_bytes / wal.truncates.
@@ -79,14 +82,14 @@ class Wal {
   };
   static constexpr u64 kMagic = 0x57'41'4c'2d'50'4d'31'00ULL;  // "WAL-PM1"
 
-  Wal(pm::PmDevice& dev, u64 header_off) : dev_(&dev), header_off_(header_off) {}
+  Wal(pm::PmDevice& dev, u64 header_off)
+      : dev_(&dev), header_off_(header_off), batcher_(&dev.passthrough()) {}
   [[nodiscard]] Header* hdr();
   [[nodiscard]] const Header* hdr() const;
-  void persist_tail();
 
   pm::PmDevice* dev_;
   u64 header_off_;
-  pm::FlushBatcher* batcher_ = nullptr;
+  pm::FlushBatcher* batcher_;
   obs::Counter* m_appends_ = nullptr;
   obs::Counter* m_append_bytes_ = nullptr;
   obs::Counter* m_truncates_ = nullptr;

@@ -246,11 +246,8 @@ TEST(Stats, BasicMoments) {
   Stats s;
   for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) s.add(v);
   EXPECT_EQ(s.count(), 5u);
+  EXPECT_DOUBLE_EQ(s.sum(), 15.0);
   EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.median(), 3.0);
-  EXPECT_NEAR(s.stddev(), 1.5811, 1e-3);
 }
 
 TEST(Stats, PercentileNearestRank) {
@@ -281,7 +278,6 @@ TEST(Stats, PercentileEdgeCases) {
   EXPECT_DOUBLE_EQ(two.percentile(0), 1.0);    // p=0 is the minimum
   EXPECT_DOUBLE_EQ(two.percentile(50), 1.0);   // rank ceil(0.5*2) = 1
   EXPECT_DOUBLE_EQ(two.percentile(50.1), 2.0);  // rank ceil(1.002) = 2
-  EXPECT_DOUBLE_EQ(two.median(), 1.0);
 }
 
 TEST(Stats, EmptyIsZero) {
@@ -290,27 +286,6 @@ TEST(Stats, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
   EXPECT_DOUBLE_EQ(s.percentile(50), 0.0);
   EXPECT_DOUBLE_EQ(s.percentile(0), 0.0);
-  EXPECT_EQ(s.hist(), "(no samples)\n");
-}
-
-TEST(Stats, HistSketch) {
-  Stats s;
-  for (int i = 0; i < 90; i++) s.add(1.0);  // heavy low bucket
-  s.add(100.0);                             // one high outlier
-  const std::string h = s.hist(10, 20);
-  // Ten rows, the low bucket at full width, the top bucket holding the
-  // outlier, empty middle buckets barless.
-  EXPECT_EQ(std::count(h.begin(), h.end(), '\n'), 10);
-  EXPECT_NE(h.find(std::string(20, '#')), std::string::npos);
-  EXPECT_NE(h.find(" 90\n"), std::string::npos);
-  EXPECT_NE(h.find(" 1\n"), std::string::npos);
-
-  Stats flat;  // all-equal samples: degenerate span must not divide by 0
-  flat.add(5.0);
-  flat.add(5.0);
-  const std::string f = flat.hist(4, 8);
-  EXPECT_EQ(std::count(f.begin(), f.end(), '\n'), 4);
-  EXPECT_NE(f.find(" 2\n"), std::string::npos);
 }
 
 TEST(Stats, ClearResets) {
@@ -319,12 +294,6 @@ TEST(Stats, ClearResets) {
   s.clear();
   EXPECT_EQ(s.count(), 0u);
   EXPECT_DOUBLE_EQ(s.sum(), 0.0);
-}
-
-TEST(FormatUs, RendersMicroseconds) {
-  EXPECT_EQ(format_us(26710.0), "26.71");
-  EXPECT_EQ(format_us(1940.0), "1.94");
-  EXPECT_EQ(format_us(700.0, 1), "0.7");
 }
 
 // ---------- alignment helpers ----------

@@ -466,7 +466,7 @@ class SlicedIngestScenario final : public CrashScenario {
 // applies, publication fence, and (at deactivation) the freelist restore.
 // Each scenario also runs with every op not backlogged: begin_op then
 // never enters the batched regime and the same workload exercises the
-// pass-through (legacy fence-per-op) protocol.
+// pass-through (fence-per-op) protocol.
 struct GroupOp {
   enum Kind { kPut, kErase };
   Kind kind;

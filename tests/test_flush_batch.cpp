@@ -1,6 +1,7 @@
 // FlushBatcher unit tests: epoch sizing and deferral bounds, pass-through
-// behaviour, deferred-publication masking, ack/quarantine ordering at
-// epoch close, and the pool seal/restore hysteresis.
+// behaviour (including the device's own pass-through batcher), the
+// idle-drain check, deferred-publication masking, ack/quarantine ordering
+// at epoch close, and the pool seal/restore hysteresis.
 //
 // Everything here observes the batcher through the PmDevice's lifetime
 // flush counters (total_clwb/total_sfence — alive even under
@@ -46,6 +47,29 @@ TEST(FlushBatcher, PassThroughWhenNotBacklogged) {
   EXPECT_TRUE(acked) << "pass-through acks must run inline";
   b.end_op();
   EXPECT_EQ(b.epochs_closed(), 0u);
+}
+
+// Structures with no batcher attached persist through this one: every
+// primitive is the per-op device protocol.
+TEST(FlushBatcher, DevicePassThroughIsThePerOpProtocol) {
+  sim::Env env;
+  pm::PmDevice dev(env, 1u << 16);
+  pm::FlushBatcher& b = dev.passthrough();
+  const u64 off = dev.data_base();
+  EXPECT_FALSE(b.batching());
+
+  const u64 clwb0 = dev.total_clwb();
+  const u64 sfence0 = dev.total_sfence();
+  b.publish_u64(off, 42);  // store_u64 + persist(off, 8)
+  EXPECT_EQ(dev.total_clwb(), clwb0 + 1);
+  EXPECT_EQ(dev.total_sfence(), sfence0 + 1);
+  EXPECT_EQ(dev.deferred_words(), 0u);
+  dev.crash();
+  EXPECT_EQ(dev.load_u64(off), 42u) << "a pass-through publication is durable";
+
+  bool freed = false;
+  b.defer([&] { freed = true; });
+  EXPECT_TRUE(freed) << "a pass-through deferred free runs at once";
 }
 
 TEST(FlushBatcher, EpochClosesAtMaxOpsAndDefersFences) {
@@ -105,21 +129,50 @@ TEST(FlushBatcher, DeadlineClosesStaleEpochOnNextOp) {
   b.close();
 }
 
-TEST(FlushBatcher, MaybeCloseHonorsDeadlineAndIdle) {
+TEST(FlushBatcher, DrainCheckClosesOnlyAnEpochNoOpJoined) {
   sim::Env env;
   pm::PmDevice dev(env, 1u << 16);
-  pm::FlushBatcher b(dev, policy_of(100, /*deferral_ns=*/500));
+  pm::FlushBatcher b(dev, policy_of(100));
+  constexpr SimTime kIdle = pm::FlushBatcher::kIdleCloseNs;
+  int closes = 0;
+  const auto run_close = [&] {
+    closes++;
+    b.close();
+  };
+
+  b.arm_drain_check(run_close);
+  EXPECT_EQ(env.engine.pending(), 0u) << "no open epoch, nothing to check";
+
+  // Check A (armed at 0) is overtaken by an op joining at kIdle / 2,
+  // whose own check B fires at kIdle * 3 / 2 and closes the epoch.
   b.begin_op(true, 0);
-  b.fence();
   b.end_op();
-  b.maybe_close(/*now_ns=*/100, /*idle=*/false);
-  EXPECT_TRUE(b.epoch_open()) << "neither bound hit";
-  b.maybe_close(/*now_ns=*/600, /*idle=*/false);
-  EXPECT_FALSE(b.epoch_open()) << "deadline must close the epoch";
-  b.begin_op(true, 700);
+  b.arm_drain_check(run_close);
+  env.engine.schedule_at(kIdle / 2, [&] {
+    b.begin_op(true, static_cast<u64>(env.now()));
+    b.end_op();
+    b.arm_drain_check(run_close);
+  });
+  env.engine.run_until(kIdle);
+  EXPECT_TRUE(b.epoch_open()) << "a check overtaken by a newer op must not close";
+  EXPECT_EQ(closes, 0);
+  env.engine.run_until_idle();
+  EXPECT_FALSE(b.epoch_open()) << "the idle epoch must close";
+  EXPECT_EQ(closes, 1);
+  EXPECT_EQ(b.epochs_closed(), 1u);
+
+  // A check whose epoch already closed does nothing, even when a new
+  // epoch holds as many ops as the old one did.
+  b.begin_op(true, static_cast<u64>(env.now()));
   b.end_op();
-  b.maybe_close(/*now_ns=*/710, /*idle=*/true);
-  EXPECT_FALSE(b.epoch_open()) << "idle must close the epoch";
+  b.arm_drain_check(run_close);
+  b.close();
+  b.begin_op(true, static_cast<u64>(env.now()));
+  b.end_op();
+  env.engine.run_until_idle();
+  EXPECT_TRUE(b.epoch_open()) << "a check of a retired epoch must not close";
+  EXPECT_EQ(closes, 1);
+  b.close();
 }
 
 TEST(FlushBatcher, DeferredPublicationMaskedFromCrashUntilClose) {
