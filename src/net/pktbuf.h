@@ -51,9 +51,8 @@ class BufArena {
   // True when buffers live in persistent memory (PASTE-style).
   [[nodiscard]] virtual bool persistent() const noexcept = 0;
 
-  // Persistence hooks; no-ops for DRAM arenas.
+  // Persistence hook; a no-op for DRAM arenas.
   virtual void mark_dirty(u64 /*handle*/, u64 /*len*/) {}
-  virtual void persist(u64 /*handle*/, u64 /*len*/) {}
 
   // Device-DMA store into the block: on a PM arena the bytes are durable
   // on return (PmDevice::store_dma); on DRAM it is a plain copy. Used by
@@ -92,7 +91,6 @@ class PmArena final : public BufArena {
   }
   [[nodiscard]] bool persistent() const noexcept override { return true; }
   void mark_dirty(u64 handle, u64 len) override { dev_->mark_dirty(handle, len); }
-  void persist(u64 handle, u64 len) override { dev_->persist(handle, len); }
   void store_dma(u64 handle, std::span<const u8> data) override {
     dev_->store_dma(handle, data);
   }
