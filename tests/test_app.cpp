@@ -3,7 +3,9 @@
 // and queueing behaviour — these are the properties the benches rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <tuple>
 
 #include "app/harness.h"
 
@@ -374,6 +376,180 @@ TEST(RawPersist, CopiesOnlyContentLengthBytes) {
   EXPECT_EQ(r.copy_ns, sim::CostModel{}.copy_cost(4));
   EXPECT_EQ(r.errors, 0u);
 }
+
+// The request path end to end, per backend and server core count: PUTs
+// of one segment and of several, GETs of a key written through the
+// connection's own (ingress) shard, of keys primed on every shard and of
+// a missing key, DELETEs of present and missing keys, and GETs after the
+// DELETEs. Statuses and bodies are checked exactly.
+class RequestPath
+    : public ::testing::TestWithParam<std::tuple<Backend, int>> {};
+
+TEST_P(RequestPath, StatusesAndBodies) {
+  const auto [backend, cores] = GetParam();
+  const bool indexed = backend == Backend::lsm || backend == Backend::pktstore;
+  sim::Env env;
+  nic::Fabric fabric(env);
+  HostConfig scfg;
+  scfg.ip = 2;
+  scfg.cores = cores;
+  scfg.busy_poll = true;
+  scfg.pm_backed = true;
+  Host server(env, fabric, scfg);
+  HostConfig ccfg;
+  ccfg.ip = 1;
+  ccfg.cores = 0;
+  Host client(env, fabric, ccfg);
+  ServerConfig sc;
+  sc.backend = backend;
+  KvServer srv(server, sc);
+
+  // Prime eight keys, noting the shard each lands in by the shard's
+  // store.puts counter.
+  std::vector<std::pair<std::string, std::vector<u8>>> primed;
+  std::vector<u32> primed_shard;
+  for (int i = 0; indexed && i < 8; i++) {
+    std::vector<u8> v(300 + 100 * i);
+    for (std::size_t j = 0; j < v.size(); j++) {
+      v[j] = static_cast<u8>(j * 7 + static_cast<std::size_t>(i));
+    }
+    std::vector<u64> before(server.datapaths());
+    for (u32 s = 0; s < server.datapaths(); s++) {
+      before[s] = server.metrics(s).counter("store.puts").value();
+    }
+    ASSERT_TRUE(srv.prime("p" + std::to_string(i), v));
+    u32 shard = 0;
+    for (u32 s = 0; s < server.datapaths(); s++) {
+      if (server.metrics(s).counter("store.puts").value() != before[s]) {
+        shard = s;
+      }
+    }
+    primed.emplace_back("p" + std::to_string(i), std::move(v));
+    primed_shard.push_back(shard);
+  }
+
+  net::TcpConn* conn = client.stack().connect(2, 9000);
+  http::ResponseParser parser;
+  std::optional<http::Response> last;
+  conn->on_readable = [&](net::TcpConn& c) {
+    std::vector<u8> buf(8192);
+    std::size_t n;
+    while ((n = c.read(buf)) > 0) {
+      auto r = parser.feed(std::span<const u8>(buf.data(), n));
+      if (r.has_value()) last = std::move(r);
+    }
+  };
+  env.engine.run_until_idle();
+  ASSERT_EQ(conn->state(), net::TcpState::established);
+  auto request = [&](http::Method m, const std::string& key,
+                     std::vector<u8> body = {}) {
+    last.reset();
+    http::Request req;
+    req.method = m;
+    req.target = "/kv/" + key;
+    req.body = std::move(body);
+    (void)conn->send(http::serialize(req));
+    env.engine.run_until_idle();
+    EXPECT_TRUE(last.has_value()) << "no response for " << key;
+    return last.value_or(http::Response{});
+  };
+  auto value = [](std::size_t n, u8 salt) {
+    std::vector<u8> v(n);
+    for (std::size_t i = 0; i < n; i++) v[i] = static_cast<u8>(i * 13 + salt);
+    return v;
+  };
+  const std::vector<u8> one_seg = value(1024, 1);
+  const std::vector<u8> multi_seg = value(4000, 2);
+  const int put_status = indexed ? 201 : 200;
+
+  http::Response r = request(http::Method::put, "one", one_seg);
+  EXPECT_EQ(r.status, put_status);
+  EXPECT_TRUE(r.body.empty());
+  r = request(http::Method::put, "multi", multi_seg);
+  EXPECT_EQ(r.status, put_status);
+  EXPECT_TRUE(r.body.empty());
+  EXPECT_EQ(srv.errors(), 0u);
+  if (!indexed) {
+    // raw_persist charges one copy per segment's share of the body: the
+    // request stream is cut into kMss-byte segments, the first carrying
+    // the head.
+    http::Request req;
+    req.method = http::Method::put;
+    req.target = "/kv/multi";
+    req.body = multi_seg;
+    const std::size_t head = http::serialize(req).size() - multi_seg.size();
+    const sim::CostModel cost;
+    SimTime want = cost.copy_cost(one_seg.size());
+    for (std::size_t at = head; at < head + multi_seg.size();) {
+      const std::size_t end =
+          std::min((at / net::kMss + 1) * net::kMss, head + multi_seg.size());
+      want += cost.copy_cost(end - at);
+      at = end;
+    }
+    EXPECT_EQ(srv.breakdown_sum().copy_ns, want);
+    return;
+  }
+
+  u32 ingress = 0;
+  for (u32 s = 0; s < server.datapaths(); s++) {
+    if (srv.shard_requests(s) != 0) ingress = s;
+  }
+  EXPECT_EQ(srv.shard_requests(ingress), srv.ops());
+
+  r = request(http::Method::get, "one");
+  EXPECT_EQ(r.status, 200);
+  EXPECT_EQ(r.body, one_seg);
+  r = request(http::Method::get, "multi");
+  EXPECT_EQ(r.status, 200);
+  EXPECT_EQ(r.body, multi_seg);
+  for (const auto& [key, v] : primed) {
+    r = request(http::Method::get, key);
+    EXPECT_EQ(r.status, 200) << key;
+    EXPECT_EQ(r.body, v) << key;
+  }
+  if constexpr (obs::kEnabled) {
+    if (cores > 1) {
+      EXPECT_NE(std::count(primed_shard.begin(), primed_shard.end(), ingress),
+                static_cast<long>(primed_shard.size()))
+          << "no key was primed on a non-ingress shard";
+    }
+  }
+  r = request(http::Method::get, "missing");
+  EXPECT_EQ(r.status, 404);
+  EXPECT_TRUE(r.body.empty());
+
+  // DELETE erases on every shard: the multi-segment key on the ingress
+  // shard, and every primed key wherever it landed.
+  r = request(http::Method::del, "multi");
+  EXPECT_EQ(r.status, 204);
+  EXPECT_TRUE(r.body.empty());
+  for (const auto& [key, v] : primed) {
+    EXPECT_EQ(request(http::Method::del, key).status, 204) << key;
+  }
+  r = request(http::Method::del, "missing");
+  EXPECT_EQ(r.status, backend == Backend::lsm ? 204 : 404);
+  EXPECT_TRUE(r.body.empty());
+  r = request(http::Method::get, "multi");
+  EXPECT_EQ(r.status, 404);
+  EXPECT_TRUE(r.body.empty());
+  for (const auto& [key, v] : primed) {
+    EXPECT_EQ(request(http::Method::get, key).status, 404) << key;
+  }
+  r = request(http::Method::get, "one");
+  EXPECT_EQ(r.status, 200);
+  EXPECT_EQ(r.body, one_seg);
+  EXPECT_EQ(srv.errors(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, RequestPath,
+    ::testing::Combine(::testing::Values(Backend::raw_persist, Backend::lsm,
+                                         Backend::pktstore),
+                       ::testing::Values(1, 2)),
+    [](const auto& info) {
+      return std::string(to_string(std::get<0>(info.param))) + "_" +
+             std::to_string(std::get<1>(info.param)) + "core";
+    });
 
 // Range query end-to-end: prime keys through the harness-style server,
 // then issue GET /scan/<from>/<to> on a raw connection and check the
