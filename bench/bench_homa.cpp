@@ -65,25 +65,21 @@ Result run(bool use_pktstore, std::size_t value_size, int requests) {
   u64 bd_ops = 0;
   shoma.on_message = [&](net::HomaDelivery d) {
     // Parse the tiny op header in place (it lives in the first segment).
-    const u8* first = server.pool().data(*d.pkts[0]) + d.offs[0];
+    const u8* first = d.ranges[0].bytes().data();
     const std::size_t klen = first[1];
     const std::string key(reinterpret_cast<const char*>(first + 2), klen);
     storage::OpBreakdown bd;
     if (use_pktstore) {
-      // Skip the op header within the first segment; adopt the rest.
-      auto offs = d.offs;
-      auto lens = d.lens;
-      const u32 skip = static_cast<u32>(2 + klen);
-      offs[0] += skip;
-      lens[0] -= skip;
-      (void)pktstore->put_pkts(key, d.pkts, offs, lens, &bd);
+      // Skip the op header; adopt the rest.
+      (void)pktstore->put_pkts(
+          key, net::window(d.ranges, 2 + klen, d.total_len - 2 - klen), &bd);
     } else {
-      const auto bytes = d.bytes(server.pool());
+      const auto bytes = net::flatten(d.ranges);
       (void)lsm->put(key, std::span<const u8>(bytes).subspan(2 + klen), &bd);
     }
     bd_sum += bd;
     bd_ops++;
-    for (auto* pb : d.pkts) server.pool().free(pb);
+    for (const auto& r : d.ranges) server.pool().free(r.pb);
     const u8 ok = 1;
     shoma.send_msg(d.src_ip, d.src_port, {&ok, 1});
   };
@@ -103,7 +99,7 @@ Result run(bool use_pktstore, std::size_t value_size, int requests) {
     choma.send_msg(kServerIp, kPort, req);
   };
   choma.on_message = [&](net::HomaDelivery d) {
-    for (auto* pb : d.pkts) client.pool().free(pb);
+    for (const auto& r : d.ranges) client.pool().free(r.pb);
     rtt.add(static_cast<double>(env.now() - issued_at));
     if (++completed < static_cast<u64>(requests)) issue();
   };

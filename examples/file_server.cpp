@@ -57,13 +57,10 @@ int main() {
     c.on_readable = [&](net::TcpConn& cc) {
       auto pkts = cc.read_pkts();
       if (pkts.empty()) return;
-      std::vector<u32> offs, lens;
-      for (auto* pb : pkts) {
-        offs.push_back(pb->payload_off);
-        lens.push_back(pb->payload_len());
-      }
+      std::vector<net::PktRange> ranges;
+      for (auto* pb : pkts) ranges.push_back(net::payload_range(*pb));
       const std::string path = "/upload/" + std::to_string(next_file++);
-      if (fs.put_pkts(path, pkts, offs, lens).ok()) {
+      if (fs.put_pkts(path, ranges).ok()) {
         const auto st = fs.stat(path);
         std::printf("  server: ingested %s (%llu bytes, %u extents)\n",
                     path.c_str(), static_cast<unsigned long long>(st->len),

@@ -6,7 +6,7 @@
 // Each connection runs a closed loop: issue a request, wait for the full
 // response, record the application-level RTT, issue the next. Keys are
 // drawn uniformly from a key space; values are deterministic per key, so
-// every 200 GET body is checked against value_for(key) (uncharged).
+// every 200 GET body is checked against app::value_for (uncharged).
 #pragma once
 
 #include <memory>
@@ -19,6 +19,11 @@
 #include "obs/trace.h"
 
 namespace papm::app {
+
+// The value key `key` holds in a workload of seed `seed`: `size` bytes
+// of an Rng seeded from both. The generators write it, the harness
+// primes and checks it, and every 200 GET body is compared with it.
+[[nodiscard]] std::vector<u8> value_for(u64 seed, u64 key, std::size_t size);
 
 struct ClientConfig {
   u32 server_ip = 0;
@@ -77,7 +82,6 @@ class WrkClient {
 
   void issue(ConnCtx& ctx);
   void on_readable(ConnCtx& ctx);
-  [[nodiscard]] std::vector<u8> value_for(u64 key_idx) const;
 
   Host& host_;
   ClientConfig cfg_;

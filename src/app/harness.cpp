@@ -129,7 +129,6 @@ RunResult run_experiment(const RunConfig& cfg) {
   scfg.trace = cfg.trace;
   scfg.trace_capacity = cfg.trace_capacity;
   scfg.flight_recorder = cfg.flight_recorder;
-  scfg.flightrec_capacity = cfg.flightrec_capacity;
   KvServer server(server_host, scfg);
 
   // Replication testbed: R backup hosts plus the primary-side forwarder.
@@ -381,11 +380,11 @@ FailoverResult run_failover(const FailoverConfig& cfg) {
   // promoted store with exactly the deterministic per-key value.
   r.acked_keys = acked.size();
   for (const auto& [key_idx, n] : acked) {
-    Rng vr(cfg.seed * 1315423911ULL + key_idx);
-    std::vector<u8> want(cfg.value_size);
-    for (auto& b : want) b = static_cast<u8>(vr.next());
     const auto got = winner->store().get("key" + std::to_string(key_idx));
-    if (!got.ok() || got.value() != want) r.acked_lost++;
+    if (!got.ok() ||
+        got.value() != value_for(cfg.seed, key_idx, cfg.value_size)) {
+      r.acked_lost++;
+    }
   }
 
   r.repl_forwards = replicator.forwards();
@@ -420,7 +419,6 @@ OpenLoopResult run_openloop(const OpenLoopRunConfig& cfg) {
   scfg.trace = cfg.trace_capacity > 0;
   scfg.trace_capacity = cfg.trace_capacity;
   scfg.flight_recorder = cfg.flight_recorder;
-  scfg.flightrec_capacity = cfg.flightrec_capacity;
   KvServer server(server_host, scfg);
 
   // Big sweeps need their SYNs spread out and the warmup stretched to
@@ -498,10 +496,8 @@ OpenLoopResult run_openloop(const OpenLoopRunConfig& cfg) {
   // generators) so measured GETs read real data instead of 404ing on a
   // cold store. Priming is setup: it charges no simulated time.
   for (u64 k = 0; k < cfg.keyspace; k++) {
-    Rng vr(cfg.seed * 1315423911ULL + k);
-    std::vector<u8> v(cfg.value_size);
-    for (auto& b : v) b = static_cast<u8>(vr.next());
-    server.prime("key" + std::to_string(k), v);
+    server.prime("key" + std::to_string(k),
+                 value_for(cfg.seed, k, cfg.value_size));
   }
 
   for (auto& c : clients) c->start();

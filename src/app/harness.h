@@ -62,7 +62,6 @@ struct RunConfig {
   // PM flight recorder (src/obs/flightrec.h): one ring per server shard,
   // written through the datapath's group-commit epochs.
   bool flight_recorder = false;
-  u32 flightrec_capacity = 4096;
 };
 
 struct RunResult {
@@ -163,7 +162,6 @@ struct OpenLoopRunConfig {
   std::size_t trace_capacity = 0;
   // PM flight recorder on the server datapath.
   bool flight_recorder = false;
-  u32 flightrec_capacity = 4096;
 };
 
 struct OpenLoopResult {
@@ -235,7 +233,7 @@ struct FailoverConfig {
   // Open-loop PUT-only load (GETs would dilute the acked-write set; the
   // keyspace is left unprimed so every byte on the backups arrived via
   // the replication stream). One client host: one seed, so the per-key
-  // value convention Rng(seed * 1315423911 + k) verifies the survivors.
+  // value convention (app::value_for) verifies the survivors.
   int connections = 64;
   double rate_rps = 40'000;
   std::size_t value_size = 512;

@@ -15,15 +15,6 @@ OpenLoopClient::OpenLoopClient(Host& host, OpenLoopConfig cfg)
   m_sojourn_ns_ = &reg.histogram("client.sojourn_ns");
 }
 
-std::vector<u8> OpenLoopClient::value_for(u64 key_idx) const {
-  // Same per-key deterministic values as WrkClient, so both generators
-  // can prime/read the same store contents.
-  Rng rng(cfg_.seed * 1315423911ULL + key_idx);
-  std::vector<u8> v(cfg_.value_size);
-  for (auto& b : v) b = static_cast<u8>(rng.next());
-  return v;
-}
-
 void OpenLoopClient::start() {
   const SimTime stagger =
       cfg_.connect_window_ns / std::max(1, cfg_.connections);
@@ -97,7 +88,7 @@ void OpenLoopClient::issue(ConnCtx& ctx, SimTime arrival) {
   http::Request req;
   req.method = is_get ? http::Method::get : http::Method::put;
   req.target = "/kv/key" + std::to_string(key_idx);
-  if (!is_get) req.body = value_for(key_idx);
+  if (!is_get) req.body = value_for(cfg_.seed, key_idx, cfg_.value_size);
   (void)ctx.conn->send(http::serialize(req));
 }
 
@@ -114,7 +105,7 @@ void OpenLoopClient::on_readable(ConnCtx& ctx) {
       obs::inc(m_http_errors_);
     }
     if (ctx.in_flight && !ctx.current_is_put && resp->status == 200 &&
-        resp->body != value_for(ctx.current_key)) {
+        resp->body != value_for(cfg_.seed, ctx.current_key, cfg_.value_size)) {
       get_mismatches_++;
     }
     if (ctx.in_flight) {

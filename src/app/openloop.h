@@ -13,7 +13,7 @@
 // *sojourn time* — arrival to response, including the time spent queued
 // client-side — which is what a user experiences, and each request
 // carries a deadline; responses later than deadline_ns count as misses.
-// Values are deterministic per key (value_for), so every 200 GET body is
+// Values are deterministic per key (app::value_for), so every 200 GET body is
 // checked against the expected value without charging simulated time.
 //
 // One OpenLoopClient drives one client host. The u16 ephemeral-port
@@ -26,6 +26,7 @@
 #include <memory>
 #include <optional>
 
+#include "app/client.h"
 #include "app/host.h"
 #include "common/stats.h"
 #include "http/http.h"
@@ -93,7 +94,6 @@ class OpenLoopClient {
   void arrive(ConnCtx& ctx);       // one Poisson arrival; schedules the next
   void issue(ConnCtx& ctx, SimTime arrival);
   void on_readable(ConnCtx& ctx);
-  [[nodiscard]] std::vector<u8> value_for(u64 key_idx) const;
 
   Host& host_;
   OpenLoopConfig cfg_;

@@ -18,6 +18,9 @@ namespace {
 // scrape page, the full log belongs in the bench-exit trace file.
 constexpr std::size_t kTraceRecentSpans = 32;
 
+// Flight-recorder ring size per shard (ServerConfig::flight_recorder).
+constexpr u32 kFlightrecRecords = 4096;
+
 // In-place request-head parse over the first segment's payload: no copy,
 // no allocation beyond the key string. Returns nullopt if the head is not
 // complete or is malformed.
@@ -154,7 +157,7 @@ KvServer::KvServer(Host& host, const ServerConfig& cfg)
       if (cfg.flight_recorder && host_.pm_backed()) {
         auto fr = obs::FlightRecorder::create(
             host_.pm_device(), host_.pm_pool(i), static_cast<u16>(i),
-            cfg.flightrec_capacity);
+            kFlightrecRecords);
         if (!fr.ok()) {
           throw std::runtime_error("KvServer: no PM for flight recorder");
         }
@@ -175,7 +178,9 @@ void KvServer::on_accept(net::TcpConn& conn, u32 shard) {
   conn.on_closed = [this](net::TcpConn& c) {
     auto it = conns_.find(&c);
     if (it != conns_.end()) {
-      for (auto* pb : it->second.pkts) net::PktBufPool::release(pb);
+      for (const net::PktRange& r : it->second.segs) {
+        net::PktBufPool::release(r.pb);
+      }
       conns_.erase(it);
     }
   };
@@ -184,8 +189,7 @@ void KvServer::on_accept(net::TcpConn& conn, u32 shard) {
 bool KvServer::try_parse_head(ConnState& st) {
   // The head must lie within the first segment (always true for the
   // paper's request sizes; requests are not pipelined).
-  net::PktBuf* first = st.pkts[0];
-  const auto payload = first->owner->payload(*first);
+  const auto payload = st.segs[0].bytes();
   const std::string_view view(reinterpret_cast<const char*>(payload.data()),
                               payload.size());
   auto& env = host_.env();
@@ -204,44 +208,11 @@ bool KvServer::try_parse_head(ConnState& st) {
   return true;
 }
 
-void KvServer::arm_epoch_watchdog(u32 shard) {
-  Shard& sh = shards_[shard];
-  if (!sh.batcher.has_value() || sh.watchdog_armed ||
-      !sh.batcher->epoch_open()) {
-    return;
-  }
-  sh.watchdog_armed = true;
-  auto& env = host_.env();
-  const u64 serial = sh.batcher->epoch_serial();
-  const u64 deadline =
-      sh.batcher->epoch_opened_ns() + sh.batcher->policy().max_deferral_ns;
-  const u64 now = static_cast<u64>(env.now());
-  env.engine.schedule_in(static_cast<SimTime>(deadline > now ? deadline - now : 1),
-                         [this, shard, serial] {
-                           epoch_watchdog_fire(shard, serial);
-                         });
-}
-
-void KvServer::epoch_watchdog_fire(u32 shard, u64 serial) {
-  Shard& sh = shards_[shard];
-  sh.watchdog_armed = false;
-  if (!sh.batcher.has_value() || !sh.batcher->epoch_open()) return;
-  if (sh.batcher->epoch_serial() != serial) {
-    // A newer epoch opened since this watchdog was armed; give it its
-    // own deadline instead of cutting it short.
-    arm_epoch_watchdog(shard);
-    return;
-  }
-  // Deadline passed with the epoch still open (the request stream dried
-  // up): retire it as pinned CPU work — the fences and the deferred acks
-  // queue behind this shard's core like any request would.
-  host_.cpu().run_on(shard, [&sh] { sh.batcher->close(); });
-}
-
 Status KvServer::normalize_pkts(ConnState& st) {
   net::PktBufPool& pool = host_.pool(st.shard);
   auto& env = host_.env();
-  for (net::PktBuf*& pb : st.pkts) {
+  for (net::PktRange& r : st.segs) {
+    net::PktBuf* pb = r.pb;
     if (pb->owner == &pool) continue;
     net::PktBuf* np = pool.alloc(pb->len);
     if (np == nullptr) return Errc::out_of_space;
@@ -277,7 +248,7 @@ Status KvServer::normalize_pkts(ConnState& st) {
     np->ip = pb->ip;
     np->tcp = pb->tcp;
     net::PktBufPool::release(pb);
-    pb = np;
+    r.pb = np;  // same payload_off and length: the range's offsets hold
   }
   return Errc::ok;
 }
@@ -300,16 +271,8 @@ bool KvServer::prime(std::string_view key, std::span<const u8> value) {
   // Discard the charged store time: collect it into a scope the caller
   // never reads, so the global clock (and the shard cores) stay put.
   SimTime discarded = 0;
-  auto& clk = host_.env().clock();
-  // Close the scope even if the backend put throws (a fault plan can cut
-  // the device mid-prime); a leaked scope leaves the clock reading the
-  // dead `discarded` frame slot.
-  struct ScopeCloser {
-    sim::Clock* clk;
-    ~ScopeCloser() { clk->end_scope(); }
-  };
-  clk.begin_scope(host_.env().now(), &discarded);
-  const ScopeCloser closer{&clk};
+  const sim::Clock::Scope scope(host_.env().clock(), host_.env().now(),
+                                &discarded);
   Status s = Errc::ok;
   switch (cfg_.backend) {
     case Backend::discard:
@@ -360,40 +323,23 @@ void KvServer::on_readable(net::TcpConn& conn) {
   ConnState& st = it->second;
 
   for (net::PktBuf* pb : conn.read_pkts()) {
-    if (st.pkts.empty()) st.rx_start = pb->tstamp;  // NIC ingress stamp
+    if (st.segs.empty()) st.rx_start = pb->tstamp;  // NIC ingress stamp
     st.have_bytes += pb->payload_len();
-    st.pkts.push_back(pb);
+    st.segs.push_back(net::payload_range(*pb));
   }
-  if (st.pkts.empty()) return;  // EOF signal: no request in flight
+  if (st.segs.empty()) return;  // EOF signal: no request in flight
   if (!st.head_parsed && !try_parse_head(st)) {
     // The head must arrive whole and well-formed in the first segment
     // (DESIGN.md §10); later segments cannot complete it.
-    errors_++;
-    obs::inc(shards_[st.shard].m_errors);
+    count_error(shards_[st.shard]);
     respond(conn, 400);
-    for (net::PktBuf* pb : st.pkts) net::PktBufPool::release(pb);
+    for (const net::PktRange& r : st.segs) net::PktBufPool::release(r.pb);
     conns_.erase(it);
     conn.close();
     return;
   }
   if (st.have_bytes < st.head_len + st.body_len) return;  // body incomplete
   dispatch(conn, st);
-}
-
-KvServer::PktHit KvServer::find_pkt_shard(std::string_view key, u32 home) {
-  // RSS flow affinity puts a key's writes in its writer's ingress shard,
-  // so the home shard hits in the common case; the fallback sweep keeps
-  // reads correct when another connection wrote the key.
-  if (const auto head = shards_[home].pktstore->find(key); head.ok()) {
-    return {&shards_[home], head.value()};
-  }
-  for (u32 i = 0; i < shards_.size(); i++) {
-    if (i == home) continue;
-    if (const auto head = shards_[i].pktstore->find(key); head.ok()) {
-      return {&shards_[i], head.value()};
-    }
-  }
-  return {};
 }
 
 bool KvServer::admin_dispatch(net::TcpConn& conn, ConnState& st) {
@@ -437,11 +383,7 @@ bool KvServer::admin_dispatch(net::TcpConn& conn, ConnState& st) {
   respond(conn, 200,
           std::span<const u8>(reinterpret_cast<const u8*>(body.data()),
                               body.size()));
-
-  for (net::PktBuf* pb : st.pkts) net::PktBufPool::release(pb);
-  ConnState fresh;
-  fresh.shard = st.shard;
-  std::swap(conns_[&conn], fresh);
+  finish_request(conn, st);
   return true;
 }
 
@@ -495,15 +437,6 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   if (sh.lsm.has_value()) sh.lsm->set_batched(batched);
   if (sh.pktstore.has_value()) sh.pktstore->set_batched(batched);
   storage::OpBreakdown bd;
-  int status = 200;
-  std::vector<u8> resp_body;
-  PktHit zero_copy;
-  // Replication forwarding state (pktstore mutations with a Replicator
-  // attached): the value's gather ranges, captured where the PUT path
-  // has them in hand.
-  const bool repl_on = repl_ != nullptr && cfg_.backend == Backend::pktstore;
-  std::vector<repl::Replicator::GatherSeg> repl_segs;
-  bool repl_put_ok = false;
 
   // One Table-1 row per request: rx covers NIC ingress of the first
   // segment up to the head parse (TCP delivery, checksum verify, wakeup);
@@ -518,174 +451,33 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   }
   const SimTime t_backend = env.now();
 
-  switch (cfg_.backend) {
-    case Backend::discard:
-      break;
-
-    case Backend::raw_persist: {
-      // The Fig. 2 "simple application that copies and persists data in
-      // the PM region": one copy + one flush, no structure.
-      if (st.method == http::Method::put) {
-        if (sh.raw_off + st.body_len > kRawRegion) sh.raw_off = 0;
-        auto& dev = host_.pm_device();
-        std::size_t skip = st.head_len;
-        std::size_t remaining = st.body_len;
-        u64 at = sh.raw_region + sh.raw_off;
-        const SimTime t0 = env.now();
-        for (net::PktBuf* pb : st.pkts) {
-          const auto p = pb->owner->payload(*pb);
-          if (skip >= p.size()) {
-            skip -= p.size();
-            continue;
-          }
-          // Only the body: bytes past Content-Length are not the value.
-          const auto chunk =
-              p.subspan(skip, std::min(p.size() - skip, remaining));
-          skip = 0;
-          env.clock().advance(env.cost.copy_cost(chunk.size()));
-          dev.store(at, chunk);
-          at += chunk.size();
-          remaining -= chunk.size();
-          if (remaining == 0) break;
-        }
-        bd.copy_ns += env.now() - t0;
-        const SimTime t1 = env.now();
-        sh.batcher->persist(sh.raw_region + sh.raw_off, st.body_len);
-        bd.persist_ns += env.now() - t1;
-        sh.raw_off += align_up(st.body_len, kCacheLine);
+  // discard and raw_persist index nothing: their GETs and DELETEs are
+  // answered 200 without touching a store.
+  const bool indexed = sh.lsm.has_value() || sh.pktstore.has_value();
+  Reply reply;
+  std::vector<net::PktRange> body;  // a PUT's value, over its segments
+  switch (st.method) {
+    case http::Method::put:
+      // A request that spanned a flow migration holds segments from the
+      // old shard's pool; pktstore re-homes them before its chain adopts
+      // the data, so the body's ranges are taken after that.
+      if (sh.pktstore.has_value() && !normalize_pkts(st).ok()) {
+        reply.status = 507;
+        break;
       }
+      body = net::window(st.segs, st.head_len, st.body_len);
+      reply.status = !put_body(sh, st, body, bd) ? 507 : indexed ? 201 : 200;
       break;
-    }
-
-    case Backend::lsm: {
-      if (st.method == http::Method::put) {
-        // Write-local: the PUT lands in the ingress core's shard.
-        Status s = Errc::ok;
-        if (st.pkts.size() == 1) {
-          // Body contiguous inside the packet: hand the view straight to
-          // the store (its internal copy is the Table 1 copy row).
-          net::PktBuf* pb = st.pkts[0];
-          const auto p = pb->owner->payload(*pb);
-          s = sh.lsm->put(st.key, p.subspan(st.head_len, st.body_len), &bd);
-        } else {
-          std::vector<u8> body;
-          body.reserve(st.body_len);
-          std::size_t skip = st.head_len;
-          for (net::PktBuf* pb : st.pkts) {
-            const auto p = pb->owner->payload(*pb);
-            if (skip >= p.size()) {
-              skip -= p.size();
-              continue;
-            }
-            body.insert(body.end(), p.begin() + static_cast<long>(skip), p.end());
-            skip = 0;
-          }
-          body.resize(st.body_len);
-          s = sh.lsm->put(st.key, body, &bd);
-        }
-        if (!s.ok()) {
-          status = 507;
-          errors_++;
-          obs::inc(sh.m_errors);
-        } else {
-          status = 201;
-        }
-      } else if (st.method == http::Method::get) {
-        if (st.key.starts_with("/scan/")) {
-          resp_body = scan_response(st.key);
-        } else {
-          // Read-merge: the ingress shard first (RSS flow affinity makes
-          // it the writer's shard), then the others for keys another
-          // connection wrote.
-          auto v = sh.lsm->get(st.key);
-          if (!v.ok() && v.errc() == Errc::not_found) {
-            for (u32 i = 0; i < shards_.size(); i++) {
-              if (i == st.shard) continue;
-              shards_[i].lsm->set_batched(batched);
-              auto w = shards_[i].lsm->get(st.key);
-              if (w.ok() || w.errc() != Errc::not_found) {
-                v = std::move(w);
-                break;
-              }
-            }
-          }
-          if (v.ok()) {
-            resp_body = std::move(v.value());
-          } else {
-            status = v.errc() == Errc::not_found ? 404 : 500;
-          }
-        }
-      } else if (st.method == http::Method::del) {
-        bool any = false;
-        for (auto& s : shards_) any |= s.lsm->erase(st.key).ok();
-        status = any ? 204 : 500;
-      }
+    case http::Method::get:
+      if (indexed) reply = get_value(st, batched);
       break;
-    }
-
-    case Backend::pktstore: {
-      if (st.method == http::Method::put) {
-        // A request that spanned a flow migration holds segments from the
-        // old shard's pool; re-home them before the chain adopts data.
-        if (!normalize_pkts(st).ok()) {
-          status = 507;
-          errors_++;
-          obs::inc(sh.m_errors);
-          break;
-        }
-        // Zero-copy ingest: per-packet value ranges.
-        std::vector<net::PktBuf*> pkts;
-        std::vector<u32> offs, lens;
-        std::size_t skip = st.head_len;
-        std::size_t remaining = st.body_len;
-        for (net::PktBuf* pb : st.pkts) {
-          const u32 plen = pb->payload_len();
-          if (skip >= plen) {
-            skip -= plen;
-            continue;
-          }
-          const u32 off = pb->payload_off + static_cast<u32>(skip);
-          const u32 len = static_cast<u32>(
-              std::min<std::size_t>(plen - skip, remaining));
-          skip = 0;
-          pkts.push_back(pb);
-          offs.push_back(off);
-          lens.push_back(len);
-          remaining -= len;
-          if (remaining == 0) break;
-        }
-        const Status s = sh.pktstore->put_pkts(st.key, pkts, offs, lens, &bd);
-        if (!s.ok()) {
-          status = 507;
-          errors_++;
-          obs::inc(sh.m_errors);
-        } else {
-          status = 201;
-          if (repl_on) {
-            // Forward the same packets' value ranges, refcounted — the
-            // replicas receive the bytes the client's segments carried.
-            repl_segs = repl::gather_from_pkts(pkts, offs, lens);
-            repl_put_ok = true;
-          }
-        }
-      } else if (st.method == http::Method::get) {
-        if (st.key.starts_with("/scan/")) {
-          resp_body = scan_response(st.key);
-        } else if (const PktHit hit = find_pkt_shard(st.key, st.shard);
-                   hit.shard != nullptr) {
-          hit.shard->pktstore->set_batched(batched);
-          zero_copy = hit;
-        } else {
-          status = 404;
-        }
-      } else if (st.method == http::Method::del) {
-        bool any = false;
-        for (auto& s : shards_) any |= s.pktstore->erase(st.key);
-        status = any ? 204 : 404;
-      }
+    case http::Method::del:
+      if (indexed) reply.status = erase_everywhere(st.key);
       break;
-    }
+    case http::Method::other:
+      break;
   }
+  if (reply.status == 507) count_error(sh);
 
   // Stitch the backend's OpBreakdown into contiguous stage spans laid out
   // from the backend-call start: the breakdown is a set of durations whose
@@ -713,7 +505,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   // under group commit its publication rides the same epoch whose close
   // releases the ack, and in pass-through mode it persists before the
   // response — either way an acked op is always recoverable.
-  if constexpr (obs::kEnabled) flight_record(st, bd, tr.req(), status);
+  if constexpr (obs::kEnabled) flight_record(st, bd, tr.req(), reply.status);
 
   // Durable mutations inside an open epoch ack only once the epoch's
   // fences retire (group commit's correctness condition); reads and
@@ -722,20 +514,22 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
       st.method == http::Method::put || st.method == http::Method::del;
   const bool defer_ack =
       mutation && sh.batcher.has_value() && sh.batcher->batching();
-  const bool replicate =
-      repl_on && mutation && (status == 201 || status == 204) &&
-      (st.method == http::Method::del || repl_put_ok);
+  // Only pktstore replicates, and only a mutation that succeeded: a
+  // stored PUT (201) or a DELETE that found the key (204).
+  const bool replicate = repl_ != nullptr &&
+                         cfg_.backend == Backend::pktstore &&
+                         (reply.status == 201 || reply.status == 204);
   {
     auto tx_span = tr.span(obs::Stage::tx);
-    if (zero_copy.shard != nullptr) {
-      respond_value_zero_copy(conn, zero_copy);
+    if (reply.hit.shard != nullptr) {
+      respond_value_zero_copy(conn, reply.hit);
     } else if (replicate) {
       // Quorum-gated ack: the client hears 201/204 only once the write
       // is locally durable AND a quorum of hosts holds it (or the
       // degrade deadline released it as a counted local-only ack).
       auto gate = std::make_shared<ReplGate>();
       gate->conn = &conn;
-      gate->status = status;
+      gate->status = reply.status;
       gate->shard = st.shard;
       gate->req = tr.req();
       gate->traced = tr.active();
@@ -758,8 +552,11 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
       // apply span stitches into the same Perfetto trace.
       const u64 trace_id = tr.active() ? tr.req() : 0;
       if (st.method == http::Method::put) {
-        repl_->submit_put(st.key, repl_segs, static_cast<u32>(st.body_len),
-                          host_.pool(st.shard), std::move(done), trace_id);
+        // Forward the same packets' value ranges, refcounted — the
+        // replicas receive the bytes the client's segments carried.
+        repl_->submit_put(st.key, repl::gather_from_pkts(body),
+                          static_cast<u32>(st.body_len), host_.pool(st.shard),
+                          std::move(done), trace_id);
       } else {
         repl_->submit_erase(st.key, std::move(done), trace_id);
       }
@@ -767,32 +564,150 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
     } else if (defer_ack) {
       net::TcpConn* c = &conn;
       sh.batcher->on_committed(
-          [this, c, status, body = std::move(resp_body)] {
+          [this, c, status = reply.status, body = std::move(reply.body)] {
             // The connection may have closed while its ack was queued.
             if (conns_.contains(c)) respond(*c, status, body);
           });
     } else {
-      respond(conn, status, resp_body);
+      respond(conn, reply.status, reply.body);
     }
   }
   if (sh.batcher.has_value()) {
     sh.batcher->end_op();
-    arm_epoch_watchdog(st.shard);
-    // A drained burst closes as pinned work on the shard's core.
-    sh.batcher->arm_drain_check([this, shard = st.shard] {
-      close_epoch(shard);
-    });
+    // An epoch left open closes as pinned work on the shard's core: at its
+    // deadline, or once the burst drained.
+    const auto close = [this, shard = st.shard] { close_epoch(shard); };
+    sh.batcher->arm_deadline_check(close);
+    sh.batcher->arm_drain_check(close);
   }
   ops_++;
   sh.requests++;
   obs::inc(sh.m_requests);
   if (st.rx_start != 0) obs::observe(sh.m_req_ns, env.now() - st.rx_start);
   breakdown_sum_ += bd;
+  finish_request(conn, st);
+}
 
-  for (net::PktBuf* pb : st.pkts) net::PktBufPool::release(pb);
+void KvServer::finish_request(net::TcpConn& conn, ConnState& st) {
+  for (const net::PktRange& r : st.segs) net::PktBufPool::release(r.pb);
   ConnState fresh;
   fresh.shard = st.shard;
   std::swap(conns_[&conn], fresh);
+}
+
+void KvServer::count_error(Shard& sh) {
+  errors_++;
+  obs::inc(sh.m_errors);
+}
+
+// Stores a PUT's body on the ingress shard (write-local); false when the
+// backend had no room.
+bool KvServer::put_body(Shard& sh, const ConnState& st,
+                        std::span<const net::PktRange> body,
+                        storage::OpBreakdown& bd) {
+  switch (cfg_.backend) {
+    case Backend::discard:
+      return true;
+    case Backend::raw_persist: {
+      // The Fig. 2 "simple application that copies and persists data in
+      // the PM region": one copy per segment's share of the body, one
+      // flush, no structure.
+      auto& env = host_.env();
+      if (sh.raw_off + st.body_len > kRawRegion) sh.raw_off = 0;
+      const u64 region = sh.raw_region + sh.raw_off;
+      u64 at = region;
+      const SimTime t0 = env.now();
+      for (const net::PktRange& r : body) {
+        env.clock().advance(env.cost.copy_cost(r.len));
+        host_.pm_device().store(at, r.bytes());
+        at += r.len;
+      }
+      bd.copy_ns += env.now() - t0;
+      const SimTime t1 = env.now();
+      sh.batcher->persist(region, st.body_len);
+      bd.persist_ns += env.now() - t1;
+      sh.raw_off += align_up(st.body_len, kCacheLine);
+      return true;
+    }
+    case Backend::lsm:
+      // A body in one segment goes to the store as a view (its internal
+      // copy is the Table 1 copy row); one over several is gathered first.
+      return (body.size() == 1
+                  ? sh.lsm->put(st.key, body[0].bytes(), &bd)
+                  : sh.lsm->put(st.key, net::flatten(body), &bd))
+          .ok();
+    case Backend::pktstore:
+      // Zero-copy ingest: the chain adopts the body's ranges.
+      return sh.pktstore->put_pkts(st.key, body, &bd).ok();
+  }
+  return true;
+}
+
+// GET routing: probes shard `home` (the ingress shard, where RSS flow
+// affinity puts the key's PUTs from this client, so it hits in the common
+// case), then the others in index order, which keep reads correct when
+// another connection wrote the key. Returns the first shard whose
+// probe(shard) result is not a miss (a hit or an error) with that result,
+// or null and the miss.
+template <typename Probe>
+auto KvServer::probe_shards(u32 home, Probe&& probe) {
+  const auto found = [](const auto& r) {
+    return r.ok() || r.errc() != Errc::not_found;
+  };
+  auto r = probe(shards_[home]);
+  if (found(r)) return std::pair{&shards_[home], std::move(r)};
+  for (u32 i = 0; i < shards_.size(); i++) {
+    if (i == home) continue;
+    auto other = probe(shards_[i]);
+    if (found(other)) return std::pair{&shards_[i], std::move(other)};
+  }
+  return std::pair{static_cast<Shard*>(nullptr), std::move(r)};
+}
+
+// GET: a scan listing, or the key's value from the first shard holding it.
+KvServer::Reply KvServer::get_value(const ConnState& st, bool batched) {
+  Reply reply;
+  if (st.key.starts_with("/scan/")) {
+    reply.body = scan_response(st.key);
+    return reply;
+  }
+  const auto miss_status = [](Errc e) { return e == Errc::not_found ? 404 : 500; };
+  if (cfg_.backend == Backend::lsm) {
+    // lsm sets a shard's warm flag before probing it.
+    auto v = probe_shards(st.shard, [&](Shard& s) {
+               s.lsm->set_batched(batched);
+               return s.lsm->get(st.key);
+             }).second;
+    if (v.ok()) {
+      reply.body = std::move(v.value());
+    } else {
+      reply.status = miss_status(v.errc());
+    }
+    return reply;
+  }
+  // pktstore probes a shard with whatever warm flag it last had, and sets
+  // the flag only on the shard that holds the key, after the probe.
+  auto [shard, head] = probe_shards(
+      st.shard, [&](Shard& s) { return s.pktstore->find(st.key); });
+  if (!head.ok()) {
+    reply.status = miss_status(head.errc());
+    return reply;
+  }
+  shard->pktstore->set_batched(batched);
+  reply.hit = {shard, head.value()};
+  return reply;
+}
+
+// DELETE erases on every shard: a key written through two ingress shards
+// has a copy in each.
+int KvServer::erase_everywhere(std::string_view key) {
+  bool any = false;
+  for (Shard& s : shards_) {
+    any |= s.lsm.has_value() ? s.lsm->erase(key).ok() : s.pktstore->erase(key);
+  }
+  // An lsm erase succeeds whether or not the key was there, so only a
+  // failure on every shard answers 500; pktstore reports absence: 404.
+  return any ? 204 : cfg_.backend == Backend::lsm ? 500 : 404;
 }
 
 std::vector<u8> KvServer::scan_response(std::string_view target) {
@@ -862,8 +777,7 @@ void KvServer::respond_value_zero_copy(net::TcpConn& conn, const PktHit& hit) {
       hit.head, std::span<const u8>(reinterpret_cast<const u8*>(head.data()),
                                     head.size()));
   if (!pkts.ok()) {
-    errors_++;
-    obs::inc(hit.shard->m_errors);
+    count_error(*hit.shard);
     respond(conn, 500);
     return;
   }

@@ -75,11 +75,10 @@ struct ServerConfig {
   // Per-shard TraceLog ring capacity for long-running serving (0 keeps
   // the unbounded bench-exit behaviour). Wraps count obs.trace_dropped.
   std::size_t trace_capacity = 0;
-  // PM-persistent flight recorder: a per-shard ring of the last
-  // flightrec_capacity request records, written through the group-commit
-  // path so recovery after a cut sees every acked op (docs/OBSERVABILITY.md).
+  // PM-persistent flight recorder: a per-shard ring of the last 4096
+  // request records, written through the group-commit path so recovery
+  // after a cut sees every acked op (docs/OBSERVABILITY.md).
   bool flight_recorder = false;
-  u32 flightrec_capacity = 4096;
 };
 
 class KvServer {
@@ -180,13 +179,12 @@ class KvServer {
     std::optional<pm::PmPool> store_pool;
     std::optional<storage::LsmStore> lsm;
     std::optional<core::PktStore> pktstore;
-    // Group/epoch commit for this shard's datapath (lsm and pktstore
-    // backends on a PM host): content fences deferred, publications
-    // withheld, acks released at epoch close. A deadline watchdog event
-    // closes an epoch whose request stream dried up, so deferred acks can
-    // never stall a closed-loop client.
+    // Group/epoch commit for this shard's datapath (every backend but
+    // discard, on a PM host): content fences deferred, publications
+    // withheld, acks released at epoch close. The batcher's deadline and
+    // drain checks close an epoch whose request stream dried up, so
+    // deferred acks can never stall a closed-loop client.
     std::optional<pm::FlushBatcher> batcher;
-    bool watchdog_armed = false;
     // PM flight recorder (ServerConfig::flight_recorder): the last N
     // requests of this shard survive a power cut.
     std::optional<obs::FlightRecorder> flightrec;
@@ -206,11 +204,13 @@ class KvServer {
   static constexpr u64 kRawRegion = 4u << 20;
 
   // Per-connection request assembly over zero-copy packets. The request
-  // head (start line + headers) must fit in the first segment — true for
-  // the paper's workloads; a slow path re-assembles otherwise.
+  // head (start line + headers) must arrive whole in the first segment —
+  // true for the paper's workloads; a head split across segments gets a
+  // 400 (DESIGN.md §10).
   struct ConnState {
-    u32 shard = 0;                   // ingress datapath (RSS decided)
-    std::vector<net::PktBuf*> pkts;  // segments of the in-flight request
+    u32 shard = 0;  // ingress datapath (RSS decided)
+    // The payload of each segment of the in-flight request, in order.
+    std::vector<net::PktRange> segs;
     std::size_t have_bytes = 0;
     // Parsed from the head (valid once head_parsed):
     bool head_parsed = false;
@@ -244,10 +244,6 @@ class KvServer {
   void gate_release(const std::shared_ptr<ReplGate>& g);
 
   void on_accept(net::TcpConn& conn, u32 shard);
-  // Schedules (or re-schedules) the epoch-deadline close for `shard`'s
-  // open epoch; fires as pinned CPU work at open + max_deferral.
-  void arm_epoch_watchdog(u32 shard);
-  void epoch_watchdog_fire(u32 shard, u64 serial);
   void on_readable(net::TcpConn& conn);
   bool try_parse_head(ConnState& st);
   // Copies any buffered segment whose PktBuf came from another shard's
@@ -265,14 +261,29 @@ class KvServer {
   void flight_record(ConnState& st, const storage::OpBreakdown& bd,
                      u64 req, int status);
   void dispatch(net::TcpConn& conn, ConnState& st);
-  // GET routing: the shard holding `key`, preferring `home` (the ingress
-  // shard, where RSS puts all of the key's PUTs from this client), with
-  // the chain head its index search found (shard null on a miss).
+  // Releases the request's segments and readies `conn` for the next one.
+  void finish_request(net::TcpConn& conn, ConnState& st);
+  void count_error(Shard& sh);
+
+  // A zero-copy GET hit: the pktstore shard holding the key and the chain
+  // head its index search found.
   struct PktHit {
     Shard* shard = nullptr;
     u64 head = 0;
   };
-  [[nodiscard]] PktHit find_pkt_shard(std::string_view key, u32 home);
+  // A request's answer: a status and a body, or a value sent zero-copy.
+  struct Reply {
+    int status = 200;
+    std::vector<u8> body;
+    PktHit hit;
+  };
+  // Request handling per method; dispatch only routes.
+  bool put_body(Shard& sh, const ConnState& st,
+                std::span<const net::PktRange> body, storage::OpBreakdown& bd);
+  Reply get_value(const ConnState& st, bool batched);
+  int erase_everywhere(std::string_view key);
+  template <typename Probe>
+  auto probe_shards(u32 home, Probe&& probe);
   [[nodiscard]] std::vector<u8> scan_response(std::string_view target);
   void respond(net::TcpConn& conn, int status, std::span<const u8> body = {});
   void respond_value_zero_copy(net::TcpConn& conn, const PktHit& hit);

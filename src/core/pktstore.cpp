@@ -45,6 +45,7 @@ Result<PktStore> PktStore::recover(net::PktBufPool& pktpool,
 }
 
 void PktStore::retire_chain(u64 head) {
+  if (head == 0) return;  // the put indexed a new key: nothing replaced
   // A chain that was durably referenced by the index may still be the
   // recovered value if the crash lands before this epoch's fence retires:
   // quarantine its free until the epoch commits. Without batching (or for
@@ -60,53 +61,48 @@ void PktStore::charge_prep(storage::OpBreakdown* bd) const {
   if (bd != nullptr) bd->prep_ns += env.now() - t0;
 }
 
-Status PktStore::put_pkt(std::string_view key, net::PktBuf& pb, u32 val_off,
-                         u32 val_len, storage::OpBreakdown* bd) {
-  net::PktBuf* pkts[1] = {&pb};
-  const u32 offs[1] = {val_off};
-  const u32 lens[1] = {val_len};
-  return put_pkts(key, pkts, offs, lens, bd);
-}
-
-Status PktStore::put_pkts(std::string_view key,
-                          std::span<net::PktBuf* const> pkts,
-                          std::span<const u32> offs, std::span<const u32> lens,
-                          storage::OpBreakdown* bd) {
-  obs::inc(m_puts_);
-  charge_prep(bd);
-  if (opts_.insert != InsertPolicy::host && opts_.zero_copy &&
-      !pkts.empty()) {
-    bool all_sliced = true;
-    u64 total = 0;
-    for (std::size_t i = 0; i < pkts.size(); i++) {
-      all_sliced = all_sliced && pkts[i]->sliced();
-      total += lens[i];
-    }
-    if (all_sliced && (opts_.insert == InsertPolicy::nic ||
-                       total >= kNicInsertMinBytes)) {
-      return put_pkts_offloaded(key, pkts, offs, lens, bd);
-    }
-  }
-  auto head = chain_.ingest_pkts(pkts, offs, lens, ingest_opts(), bd);
+Result<u64> PktStore::index_chain(std::string_view key, Result<u64> head,
+                                  SimTime* insert_ns) {
   if (!head.ok()) return head.errc();
-
   auto& env = chain_.device().env();
   const SimTime t0 = env.now();
   u64 old_head = 0;
   const Status st = index_.put(key, head.value(), &old_head);
-  if (bd != nullptr) bd->alloc_insert_ns += env.now() - t0;
+  if (insert_ns != nullptr) *insert_ns += env.now() - t0;
   if (!st.ok()) {
     chain_.free_chain(head.value());  // never indexed: immediate free is safe
-    return st;
+    return st.errc();
   }
-  if (old_head != 0) retire_chain(old_head);
+  return old_head;
+}
+
+Status PktStore::put_pkts(std::string_view key,
+                          std::span<const net::PktRange> ranges,
+                          storage::OpBreakdown* bd) {
+  obs::inc(m_puts_);
+  charge_prep(bd);
+  if (opts_.insert != InsertPolicy::host && opts_.zero_copy &&
+      !ranges.empty()) {
+    bool all_sliced = true;
+    u64 total = 0;
+    for (const net::PktRange& r : ranges) {
+      all_sliced = all_sliced && r.pb->sliced();
+      total += r.len;
+    }
+    if (all_sliced && (opts_.insert == InsertPolicy::nic ||
+                       total >= kNicInsertMinBytes)) {
+      return put_pkts_offloaded(key, ranges, bd);
+    }
+  }
+  const auto old = index_chain(key, chain_.ingest_pkts(ranges, ingest_opts(), bd),
+                               bd != nullptr ? &bd->alloc_insert_ns : nullptr);
+  if (!old.ok()) return old.errc();
+  retire_chain(old.value());
   return Errc::ok;
 }
 
 Status PktStore::put_pkts_offloaded(std::string_view key,
-                                    std::span<net::PktBuf* const> pkts,
-                                    std::span<const u32> offs,
-                                    std::span<const u32> lens,
+                                    std::span<const net::PktRange> ranges,
                                     storage::OpBreakdown* bd) {
   obs::inc(m_nic_inserts_);
   auto& env = chain_.device().env();
@@ -120,25 +116,16 @@ Status PktStore::put_pkts_offloaded(std::string_view key,
   // — every PM state transition (and any injected fault) is identical —
   // but its time must not bill the host core: divert clock charges into a
   // discarded engine-local collector while it runs. The engine's latency
-  // is modelled by the calibrated command constants below instead.
+  // is modelled by the calibrated command constants below instead. A
+  // failed insert's chain is freed by the engine too.
   SimTime engine_ns = 0;
-  const auto scope = env.clock().exchange_scope(t_doorbell, &engine_ns);
-  Result<u64> head = Errc::internal;
-  Status st = Errc::internal;
-  u64 old_head = 0;
-  try {
-    head = chain_.ingest_pkts(pkts, offs, lens, ingest_opts(), nullptr);
-    if (head.ok()) st = index_.put(key, head.value(), &old_head);
-  } catch (...) {
-    env.clock().restore_scope(scope);
-    throw;  // PowerFailure unwinds with the host scope back in place
+  Result<u64> old = Errc::internal;
+  {
+    const sim::Clock::Scope engine(env.clock(), t_doorbell, &engine_ns);
+    old = index_chain(key, chain_.ingest_pkts(ranges, ingest_opts(), nullptr),
+                      nullptr);
   }
-  env.clock().restore_scope(scope);
-  if (!head.ok()) return head.errc();
-  if (!st.ok()) {
-    chain_.free_chain(head.value());  // never indexed: immediate free safe
-    return st;
-  }
+  if (!old.ok()) return old.errc();
 
   // Engine completion: fixed command execution plus a per-segment
   // metadata append. Un-batched, the host polls the completion queue and
@@ -147,14 +134,14 @@ Status PktStore::put_pkts_offloaded(std::string_view key,
   // completion time — no host wait is charged.
   const SimTime engine_done =
       t_doorbell + env.cost.nic_insert_cmd_ns +
-      static_cast<SimTime>(pkts.size()) * env.cost.nic_insert_meta_ns;
+      static_cast<SimTime>(ranges.size()) * env.cost.nic_insert_meta_ns;
   if (!chain_.batcher().batching() && engine_done > env.now()) {
     env.clock().advance(engine_done - env.now());
   }
   env.clock().advance(env.cost.nic_insert_completion_ns);
   if (bd != nullptr) bd->nic_insert_ns += env.now() - t0;
 
-  if (old_head != 0) retire_chain(old_head);
+  retire_chain(old.value());
   return Errc::ok;
 }
 
@@ -162,19 +149,10 @@ Status PktStore::put_bytes(std::string_view key, std::span<const u8> value,
                            storage::OpBreakdown* bd) {
   obs::inc(m_puts_);
   charge_prep(bd);
-  auto head = chain_.ingest_bytes(value, ingest_opts(), bd);
-  if (!head.ok()) return head.errc();
-
-  auto& env = chain_.device().env();
-  const SimTime t0 = env.now();
-  u64 old_head = 0;
-  const Status st = index_.put(key, head.value(), &old_head);
-  if (bd != nullptr) bd->alloc_insert_ns += env.now() - t0;
-  if (!st.ok()) {
-    chain_.free_chain(head.value());  // never indexed: immediate free is safe
-    return st;
-  }
-  if (old_head != 0) retire_chain(old_head);
+  const auto old = index_chain(key, chain_.ingest_bytes(value, ingest_opts(), bd),
+                               bd != nullptr ? &bd->alloc_insert_ns : nullptr);
+  if (!old.ok()) return old.errc();
+  retire_chain(old.value());
   return Errc::ok;
 }
 

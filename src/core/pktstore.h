@@ -71,16 +71,11 @@ class PktStore {
                                   std::string_view name,
                                   PktStoreOptions opts = PktStoreOptions());
 
-  // §4.2 ingest: the value for `key` is the byte range
-  // [val_off, val_off + val_len) of `pb`'s buffer (val_off is absolute
-  // within the buffer, e.g. past TCP + HTTP headers). The store takes its
-  // own reference on the packet data; the caller still frees `pb`.
-  Status put_pkt(std::string_view key, net::PktBuf& pb, u32 val_off,
-                 u32 val_len, storage::OpBreakdown* bd = nullptr);
-
-  // Multi-segment values: one packet per chain element, same ranges.
-  Status put_pkts(std::string_view key, std::span<net::PktBuf* const> pkts,
-                  std::span<const u32> offs, std::span<const u32> lens,
+  // §4.2 ingest: the value for `key` is the bytes of `ranges` in order,
+  // one chain element per range (a range's offset is absolute within its
+  // packet, e.g. past TCP + HTTP headers). The store takes its own
+  // reference on each packet's data; the caller still frees the packets.
+  Status put_pkts(std::string_view key, std::span<const net::PktRange> ranges,
                   storage::OpBreakdown* bd = nullptr);
 
   // Application-originated put (no carrying packet).
@@ -173,13 +168,18 @@ class PktStore {
             opts_.persistence};
   }
   void charge_prep(storage::OpBreakdown* bd) const;
+  // The tail every put shares once its chain is built: index `head` under
+  // `key` (the insert's time lands in `insert_ns` when given) and, if the
+  // insert fails, free the chain at once — it never became reachable.
+  // Returns the head of the chain the insert replaced (0 for a new key)
+  // for retire_chain.
+  Result<u64> index_chain(std::string_view key, Result<u64> head,
+                          SimTime* insert_ns);
   // NIC index-engine variant of put_pkts: host pays doorbell + completion
   // (and, un-batched, waits out the engine); ingest + insert execute with
   // their charges diverted off the host clock.
   Status put_pkts_offloaded(std::string_view key,
-                            std::span<net::PktBuf* const> pkts,
-                            std::span<const u32> offs,
-                            std::span<const u32> lens,
+                            std::span<const net::PktRange> ranges,
                             storage::OpBreakdown* bd);
 
   mutable PChain chain_;

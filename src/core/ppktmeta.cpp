@@ -34,27 +34,23 @@ Result<u64> PChain::alloc_meta(const PPktMeta& m) {
   return off.value();
 }
 
-Result<u64> PChain::ingest_pkts(std::span<net::PktBuf* const> pkts,
-                                std::span<const u32> offs,
-                                std::span<const u32> lens,
+Result<u64> PChain::ingest_pkts(std::span<const net::PktRange> ranges,
                                 const IngestOptions& opts,
                                 storage::OpBreakdown* bd) {
-  if (pkts.empty() || pkts.size() != offs.size() || pkts.size() != lens.size()) {
-    return Errc::invalid_argument;
-  }
+  if (ranges.empty()) return Errc::invalid_argument;
   auto& env = dev_->env();
   u64 total = 0;
-  for (const u32 l : lens) total += l;
+  for (const net::PktRange& r : ranges) total += r.len;
 
   // Build metadata back-to-front so each element can point at its
   // successor before being persisted (no fix-up writes).
   u64 next = 0;
-  std::vector<u64> metas(pkts.size(), 0);
-  for (std::size_t idx = pkts.size(); idx-- > 0;) {
-    net::PktBuf& pb = *pkts[idx];
+  for (std::size_t idx = ranges.size(); idx-- > 0;) {
+    const net::PktRange& r = ranges[idx];
+    net::PktBuf& pb = *r.pb;
     PPktMeta m{};
     m.magic = PPktMeta::kMagic;
-    m.val_len = lens[idx];
+    m.val_len = r.len;
     m.next = next;
     m.total_len = idx == 0 ? total : 0;
 
@@ -62,7 +58,7 @@ Result<u64> PChain::ingest_pkts(std::span<net::PktBuf* const> pkts,
     // the span resolves into the NIC-placed slice block; for a contiguous
     // packet it is the same pointer math as before the slicer.
     const std::span<const u8> payload = pktpool_->payload(pb);
-    const u32 lead = offs[idx] - pb.payload_off;
+    const u32 lead = r.off - pb.payload_off;
 
     // Checksum: inherit the NIC word or recompute like the baseline.
     {
@@ -71,14 +67,14 @@ Result<u64> PChain::ingest_pkts(std::span<net::PktBuf* const> pkts,
         // Narrow the NIC-provided payload checksum to the value slice,
         // touching only the bytes outside the value (§4.2).
         const u32 trail =
-            static_cast<u32>(payload.size()) - lead - lens[idx];
+            static_cast<u32>(payload.size()) - lead - r.len;
         env.clock().advance(env.cost.inet_csum_cost(lead + trail));
         m.csum_kind = static_cast<u16>(CsumKind::inet16);
-        m.csum16 = inet_csum_slice(payload, pb.payload_csum, lead, lead + lens[idx]);
+        m.csum16 = inet_csum_slice(payload, pb.payload_csum, lead, lead + r.len);
       } else {
-        env.clock().advance(env.cost.crc32c_cost(lens[idx]));
+        env.clock().advance(env.cost.crc32c_cost(r.len));
         m.csum_kind = static_cast<u16>(CsumKind::crc32c);
-        m.csum32 = crc32c(payload.subspan(lead, lens[idx]));
+        m.csum32 = crc32c(payload.subspan(lead, r.len));
       }
     }
 
@@ -98,21 +94,19 @@ Result<u64> PChain::ingest_pkts(std::span<net::PktBuf* const> pkts,
     const bool dma_durable = opts.zero_copy && pb.sliced();
     {
       Phase p(env, bd != nullptr ? &bd->copy_ns : nullptr);
-      if (opts.zero_copy && pb.sliced()) {
-        m.data_off = pktpool_->adopt_slice(pb);
-        m.data_cap = pb.slice_cap;
-        m.val_off = pb.slice_off + lead;
-      } else if (opts.zero_copy) {
-        m.data_off = pktpool_->adopt_data(pb);
-        m.data_cap = pb.cap;
-        m.val_off = offs[idx];
+      if (opts.zero_copy) {
+        const net::BlockRange b = r.block();
+        m.data_off =
+            pb.sliced() ? pktpool_->adopt_slice(pb) : pktpool_->adopt_data(pb);
+        m.data_cap = b.cap;
+        m.val_off = b.off;
       } else {
-        auto buf = pmpool_->alloc(lens[idx]);
+        auto buf = pmpool_->alloc(r.len);
         if (!buf.ok()) return buf.errc();
-        env.clock().advance(env.cost.copy_cost(lens[idx]));
-        dev_->store(buf.value(), payload.subspan(lead, lens[idx]));
+        env.clock().advance(env.cost.copy_cost(r.len));
+        dev_->store(buf.value(), payload.subspan(lead, r.len));
         m.data_off = buf.value();
-        m.data_cap = lens[idx];
+        m.data_cap = r.len;
         m.val_off = 0;
         // Register with the pool's refcounting so free_chain is uniform.
         pktpool_->restore_ref(buf.value());
@@ -134,11 +128,10 @@ Result<u64> PChain::ingest_pkts(std::span<net::PktBuf* const> pkts,
       Phase p(env, bd != nullptr ? &bd->alloc_insert_ns : nullptr);
       auto off = alloc_meta(m);
       if (!off.ok()) return off.errc();
-      metas[idx] = off.value();
       next = off.value();
     }
   }
-  return metas[0];
+  return next;
 }
 
 Result<u64> PChain::ingest_bytes(std::span<const u8> data,

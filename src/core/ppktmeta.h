@@ -69,11 +69,10 @@ class PChain {
     bool persistence = true;      // flush value bytes (Table 1 knob)
   };
 
-  // Builds a persistent chain from received packets. Each packet
-  // contributes payload bytes [offs[i], offs[i] + lens[i]). Returns the
-  // head metadata offset. `bd` receives the phase breakdown.
-  Result<u64> ingest_pkts(std::span<net::PktBuf* const> pkts,
-                          std::span<const u32> offs, std::span<const u32> lens,
+  // Builds a persistent chain from received packets, one element per
+  // range: the value is the ranges' bytes in order. Returns the head
+  // metadata offset. `bd` receives the phase breakdown.
+  Result<u64> ingest_pkts(std::span<const net::PktRange> ranges,
                           const IngestOptions& opts,
                           storage::OpBreakdown* bd = nullptr);
 

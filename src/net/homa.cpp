@@ -40,16 +40,6 @@ std::optional<WireHomaHdr> decode_homa(std::span<const u8> in) {
 
 }  // namespace
 
-std::vector<u8> HomaDelivery::bytes(PktBufPool& pool) const {
-  std::vector<u8> out;
-  out.reserve(total_len);
-  for (std::size_t i = 0; i < pkts.size(); i++) {
-    const u8* base = pool.data(*pkts[i]);
-    out.insert(out.end(), base + offs[i], base + offs[i] + lens[i]);
-  }
-  return out;
-}
-
 HomaEndpoint::HomaEndpoint(UdpStack& udp, u16 port, Options opts)
     : udp_(udp), port_(port), opts_(opts) {
   const Status st = udp_.bind(
@@ -380,14 +370,13 @@ void HomaEndpoint::deliver(u64 msg_id, RxMsg&& m) {
   d.msg_id = msg_id;
   d.total_len = m.total_len;
   for (auto& [off, pb] : m.segs) {
-    d.pkts.push_back(pb);
-    d.offs.push_back(static_cast<u32>(pb->payload_off + kHomaHdrLen));
-    d.lens.push_back(static_cast<u32>(pb->payload_len() - kHomaHdrLen));
+    d.ranges.push_back({pb, static_cast<u32>(pb->payload_off + kHomaHdrLen),
+                        static_cast<u32>(pb->payload_len() - kHomaHdrLen)});
   }
   if (on_message) {
     on_message(std::move(d));
   } else {
-    for (auto* pb : d.pkts) udp_.pool().free(pb);
+    for (const PktRange& r : d.ranges) udp_.pool().free(r.pb);
   }
 }
 

@@ -37,14 +37,10 @@ struct HomaDelivery {
   u16 src_port;
   u64 msg_id;
   u64 total_len;
-  // The message's packets in offset order, with the payload byte range
-  // of each (past the Homa header). Receiver owns them; free via pool.
-  std::vector<PktBuf*> pkts;
-  std::vector<u32> offs;
-  std::vector<u32> lens;
-
-  // Convenience: flatten to contiguous bytes (copies).
-  [[nodiscard]] std::vector<u8> bytes(PktBufPool& pool) const;
+  // The message's payload byte ranges (past the Homa header), one per
+  // packet in offset order. The receiver owns the packets; free each
+  // range's pb via its pool. net::flatten copies the bytes out.
+  std::vector<PktRange> ranges;
 };
 
 struct HomaOptions {
@@ -78,12 +74,7 @@ class HomaEndpoint {
   u64 send_msg(u32 dst_ip, u16 dst_port, std::span<const u8> data);
 
   // One refcounted byte range of packet data (a gather-send element).
-  struct GatherSeg {
-    u64 data_h;
-    u32 off;
-    u32 len;
-    u32 cap;  // allocation size of the block (for unref)
-  };
+  using GatherSeg = BlockRange;
 
   // Zero-copy send: `header` bytes (copied — it is a few tens of bytes
   // of protocol header) followed by the gather ranges, which are

@@ -1,5 +1,6 @@
 #include "net/pktbuf.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -155,6 +156,37 @@ bool PktBufPool::unref(u64 handle) {
     return true;
   }
   return false;
+}
+
+std::vector<PktRange> window(std::span<const PktRange> ranges,
+                             std::size_t skip, std::size_t len) {
+  std::vector<PktRange> out;
+  for (const PktRange& r : ranges) {
+    if (len == 0) break;
+    if (skip >= r.len) {
+      skip -= r.len;
+      continue;
+    }
+    const u32 take = static_cast<u32>(std::min<std::size_t>(r.len - skip, len));
+    out.push_back({r.pb, r.off + static_cast<u32>(skip), take});
+    len -= take;
+    skip = 0;
+  }
+  return out;
+}
+
+std::vector<u8> flatten(std::span<const PktRange> ranges, std::size_t limit) {
+  std::size_t total = 0;
+  for (const PktRange& r : ranges) total += r.len;
+  std::vector<u8> out;
+  out.reserve(std::min(total, limit));
+  for (const PktRange& r : ranges) {
+    if (out.size() >= limit) break;
+    const auto b =
+        r.bytes().first(std::min<std::size_t>(r.len, limit - out.size()));
+    out.insert(out.end(), b.begin(), b.end());
+  }
+  return out;
 }
 
 }  // namespace papm::net

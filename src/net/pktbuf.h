@@ -21,7 +21,9 @@
 // property that makes received payloads persistable in place.
 #pragma once
 
+#include <cstdint>
 #include <deque>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -318,5 +320,58 @@ class PktBufPool {
   std::size_t live_meta_ = 0;
   std::size_t meta_limit_ = 0;  // 0 = unlimited
 };
+
+// --- Packet byte ranges ----------------------------------------------------
+
+// Bytes of an arena block: where a PktRange's bytes physically live, and
+// what a refcounted gather (a zero-copy send) pins.
+struct BlockRange {
+  u64 data_h;
+  u32 off;  // start of the bytes within the block
+  u32 len;
+  u32 cap;  // allocation size of the block (for unref)
+};
+
+// A run of bytes inside one packet's payload: [off, off + len) of pb's
+// linear view, where off counts from the start of the frame, headers
+// included, as payload_off does. A value's bytes are a list of these
+// (§4.2), and so are a request body and a Homa message. For a sliced
+// packet the payload lives in the slice block, not the linear buffer;
+// bytes() and block() are where a range is resolved.
+struct PktRange {
+  PktBuf* pb = nullptr;
+  u32 off = 0;
+  u32 len = 0;
+
+  // The bytes, through the owning pool (a range may outlive a flow's move
+  // to another shard's pool).
+  [[nodiscard]] std::span<const u8> bytes() const {
+    return pb->owner->payload(*pb).subspan(off - pb->payload_off, len);
+  }
+  // The block holding the bytes: the slice block for a sliced packet.
+  [[nodiscard]] BlockRange block() const noexcept {
+    if (pb->sliced()) {
+      return {pb->slice_h, pb->slice_off + (off - pb->payload_off), len,
+              pb->slice_cap};
+    }
+    return {pb->data_h, off, len, pb->cap};
+  }
+};
+
+// The whole payload of `pb` as one range.
+[[nodiscard]] inline PktRange payload_range(PktBuf& pb) noexcept {
+  return {&pb, pb.payload_off, pb.payload_len()};
+}
+
+// Bytes [skip, skip + len) of the concatenation of `ranges`, as ranges
+// over the same packets, cut short where the list ends. Ranges the window
+// does not reach are left out, so a zero-length window yields no ranges.
+[[nodiscard]] std::vector<PktRange> window(std::span<const PktRange> ranges,
+                                           std::size_t skip, std::size_t len);
+
+// Copies the first `limit` bytes of `ranges` (all of them by default) into
+// one buffer.
+[[nodiscard]] std::vector<u8> flatten(std::span<const PktRange> ranges,
+                                      std::size_t limit = SIZE_MAX);
 
 }  // namespace papm::net

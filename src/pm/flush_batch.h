@@ -55,10 +55,12 @@ class PmPool;
 // the harness RunConfig down to the per-shard batchers).
 struct GroupCommitPolicy {
   u32 max_epoch_ops = 64;  // close after this many ops joined the epoch
-  // Close when the open epoch gets older than this. Sized so the op-count
-  // limit, not the deadline, closes epochs at saturation (a 1 KB put costs
-  // ~12 µs of core time); the deadline is the trickle-traffic backstop
-  // that bounds how long an ack can wait.
+  // Close when the open epoch gets older than this: the bound on how long
+  // a held ack can wait. A closed-loop client has at most one op in
+  // flight per connection, so with fewer connections than max_epoch_ops
+  // the op-count limit is never reached, and an epoch the drain check
+  // does not close (arrivals keep joining it) runs to this deadline —
+  // past the peer's 200 µs delayed-ACK timer (net::kDelAckTimeout).
   u64 max_deferral_ns = 800'000;
 };
 
@@ -83,8 +85,6 @@ class FlushBatcher {
   // from.
   void register_pool(PmPool& pool) { pools_.push_back(&pool); }
 
-  [[nodiscard]] const GroupCommitPolicy& policy() const { return policy_; }
-
   // --- Op bracketing (the server calls these around each request) ------
   /// Joins the current request to an epoch when `backlogged`; otherwise
   /// closes any open epoch and drops to pass-through. Opening the first
@@ -98,8 +98,8 @@ class FlushBatcher {
   /// Monotonic id of the current/most-recent epoch; lets structures
   /// lazily invalidate per-epoch volatile state (e.g. fresh-node sets).
   [[nodiscard]] u64 epoch_serial() const noexcept { return epoch_serial_; }
-  /// Open time of the current epoch (valid while epoch_open()); lets the
-  /// server arm its deadline watchdog at open + max_deferral.
+  /// Open time of the current epoch (valid while epoch_open()); the
+  /// deadline check fires at open + max_deferral_ns.
   [[nodiscard]] u64 epoch_opened_ns() const noexcept {
     return epoch_opened_ns_;
   }
@@ -174,6 +174,31 @@ class FlushBatcher {
           }
         });
   }
+  /// Deadline check: at the open epoch's open + max_deferral_ns, if that
+  /// epoch is still open, `run_close` is called to close it (an op that
+  /// joins a stale epoch closes it itself, in begin_op). At most one check
+  /// is armed at a time; one that finds a newer epoch open re-arms for
+  /// that epoch's deadline instead of cutting it short. No-op when no
+  /// epoch is open.
+  template <typename RunClose>
+  void arm_deadline_check(RunClose run_close) {
+    if (deadline_armed_ || !epoch_open_) return;
+    deadline_armed_ = true;
+    const u64 deadline = epoch_opened_ns_ + policy_.max_deferral_ns;
+    const u64 now = static_cast<u64>(dev_->env().now());
+    dev_->env().engine.schedule_in(
+        static_cast<SimTime>(deadline > now ? deadline - now : 1),
+        [this, serial = epoch_serial_,
+         run_close = std::move(run_close)]() mutable {
+          deadline_armed_ = false;
+          if (!epoch_open_) return;
+          if (epoch_serial_ != serial) {
+            arm_deadline_check(std::move(run_close));
+            return;
+          }
+          run_close();
+        });
+  }
   /// Leaves batching entirely: closes the epoch and restores the sealed
   /// pools' durable freelists. Safe to call when already idle.
   void deactivate();
@@ -203,6 +228,7 @@ class FlushBatcher {
   bool active_ = false;      // pools sealed, batching regime on
   bool batching_ = false;    // current op routes through batched paths
   bool epoch_open_ = false;
+  bool deadline_armed_ = false;  // a deadline check is scheduled
   u64 epoch_opened_ns_ = 0;
   u32 ops_in_epoch_ = 0;
   u64 epoch_deferred_fences_ = 0;

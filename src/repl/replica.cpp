@@ -8,16 +8,6 @@
 
 namespace papm::repl {
 
-namespace {
-
-// Header parsing only — the value bytes are never flattened; they go to
-// the store zero-copy as delivered-packet byte ranges.
-std::vector<u8> head_bytes(const net::HomaDelivery& d, std::size_t n) {
-  return delivery_head(d, n);
-}
-
-}  // namespace
-
 ReplicaNode::ReplicaNode(sim::Env& env, nic::Fabric& fabric,
                          const ReplicaConfig& cfg)
     : env_(env), cfg_(cfg) {
@@ -83,11 +73,9 @@ void ReplicaNode::kill() {
   nic_->set_link_up(false);
   homa_->abandon();
   dev_->clear_fault_plan();
-  for (auto& [seq, d] : pending_) free_delivery(d);
+  for (auto& [seq, d] : pending_) release_delivery(d);
   pending_.clear();
 }
-
-void ReplicaNode::free_delivery(net::HomaDelivery& d) { release_delivery(d); }
 
 void ReplicaNode::monitor_primary() {
   last_hb_ = env_.now();
@@ -119,10 +107,10 @@ void ReplicaNode::monitor_primary() {
 
 void ReplicaNode::on_msg(net::HomaDelivery d) {
   if (!alive_ || d.total_len == 0) {
-    free_delivery(d);
+    release_delivery(d);
     return;
   }
-  const auto head = head_bytes(d, 1);
+  const auto head = net::flatten(d.ranges, 1);
   switch (static_cast<MsgKind>(head[0])) {
     case MsgKind::data:
       apply_data(d);
@@ -138,24 +126,24 @@ void ReplicaNode::on_msg(net::HomaDelivery d) {
       snap_item(d);
       break;
     case MsgKind::snap_end: {
-      const auto ctl = head_bytes(d, kCtlLen);
+      const auto ctl = net::flatten(d.ranges, kCtlLen);
       snap_end(get_u64(ctl.data() + 8));
       break;
     }
     case MsgKind::ack:
       break;  // primary-side message; not ours
   }
-  free_delivery(d);
+  release_delivery(d);
 }
 
 void ReplicaNode::apply_data(net::HomaDelivery& d) {
-  const auto hdr = head_bytes(d, kDataHdrLen);
+  const auto hdr = net::flatten(d.ranges, kDataHdrLen);
   const u64 seq = get_u64(hdr.data() + 8);
   if (seq <= applied_seq_) {
     // Idempotent replay: a duplicated or retransmitted forward for an
     // already-applied seq is dropped and the cumulative ack repeated
     // (the original ack may have been lost).
-    free_delivery(d);
+    release_delivery(d);
     acked_seq_ = 0;  // force the re-ack even at an unchanged durable seq
     send_ack();
     return;
@@ -165,70 +153,43 @@ void ReplicaNode::apply_data(net::HomaDelivery& d) {
     if (!pending_.contains(seq)) {
       pending_.emplace(seq, std::move(d));
     } else {
-      free_delivery(d);
+      release_delivery(d);
     }
     return;
   }
-  {
-    const u16 key_len = get_u16(hdr.data() + 2);
-    const u32 val_len = get_u32(hdr.data() + 4);
-    const u64 trace_id = get_u64(hdr.data() + 16);
-    const auto full = head_bytes(d, kDataHdrLen + key_len);
-    const std::string key(reinterpret_cast<const char*>(full.data()) +
-                              kDataHdrLen,
-                          key_len);
-    apply_one(d, static_cast<OpKind>(hdr[1]), key, kDataHdrLen + key_len,
-              val_len, trace_id);
-    free_delivery(d);
-  }
+  apply_one(d);
+  release_delivery(d);
   // Drain any buffered successors that are now contiguous.
   auto it = pending_.find(applied_seq_ + 1);
   while (it != pending_.end()) {
     net::HomaDelivery next = std::move(it->second);
     pending_.erase(it);
-    const auto h2 = head_bytes(next, kDataHdrLen);
-    const u16 kl = get_u16(h2.data() + 2);
-    const u32 vl = get_u32(h2.data() + 4);
-    const u64 tid2 = get_u64(h2.data() + 16);
-    const auto f2 = head_bytes(next, kDataHdrLen + kl);
-    const std::string k2(reinterpret_cast<const char*>(f2.data()) +
-                             kDataHdrLen,
-                         kl);
-    apply_one(next, static_cast<OpKind>(h2[1]), k2, kDataHdrLen + kl, vl,
-              tid2);
-    free_delivery(next);
+    apply_one(next);
+    release_delivery(next);
     it = pending_.find(applied_seq_ + 1);
   }
 }
 
-void ReplicaNode::apply_one(const net::HomaDelivery& d, OpKind op,
-                            std::string_view key, std::size_t val_at,
-                            u32 val_len, u64 trace_id) {
+void ReplicaNode::apply_one(const net::HomaDelivery& d) {
+  // Header parsing only: the value bytes are never flattened; they go to
+  // the store zero-copy as delivered-packet byte ranges.
+  const auto hdr = net::flatten(d.ranges, kDataHdrLen);
+  const u16 key_len = get_u16(hdr.data() + 2);
+  const u32 val_len = get_u32(hdr.data() + 4);
+  const u64 trace_id = get_u64(hdr.data() + 16);
+  const auto full = net::flatten(d.ranges, kDataHdrLen + key_len);
+  const std::string key(reinterpret_cast<const char*>(full.data()) +
+                            kDataHdrLen,
+                        key_len);
   const u64 seq = applied_seq_ + 1;
   const SimTime t_apply = env_.now();
   batcher_->begin_op(true, static_cast<u64>(env_.now()));
   store_->set_batched(batcher_->batching());
-  if (op == OpKind::put) {
-    // The value's byte ranges within the delivered packets, zero-copy:
-    // skip the replication header + key, take val_len bytes.
-    std::vector<net::PktBuf*> pkts;
-    std::vector<u32> offs, lens;
-    std::size_t skip = val_at;
-    u64 remaining = val_len;
-    for (std::size_t i = 0; i < d.pkts.size() && remaining > 0; i++) {
-      if (skip >= d.lens[i]) {
-        skip -= d.lens[i];
-        continue;
-      }
-      const u32 take = static_cast<u32>(
-          std::min<u64>(d.lens[i] - skip, remaining));
-      pkts.push_back(d.pkts[i]);
-      offs.push_back(d.offs[i] + static_cast<u32>(skip));
-      lens.push_back(take);
-      remaining -= take;
-      skip = 0;
-    }
-    (void)store_->put_pkts(key, pkts, offs, lens, nullptr);
+  if (static_cast<OpKind>(hdr[1]) == OpKind::put) {
+    // The value's byte ranges within the delivered packets: past the
+    // replication header and the key, val_len bytes.
+    (void)store_->put_pkts(
+        key, net::window(d.ranges, kDataHdrLen + key_len, val_len), nullptr);
   } else {
     (void)store_->erase(key);
   }
@@ -270,10 +231,10 @@ void ReplicaNode::send_ack() {
 
 void ReplicaNode::snap_item(const net::HomaDelivery& d) {
   if (!in_resync_) return;
-  const auto hdr = head_bytes(d, kSnapItemHdrLen);
+  const auto hdr = net::flatten(d.ranges, kSnapItemHdrLen);
   const u16 key_len = get_u16(hdr.data() + 2);
   const u32 val_len = get_u32(hdr.data() + 4);
-  const auto all = head_bytes(d, kSnapItemHdrLen + key_len + val_len);
+  const auto all = net::flatten(d.ranges, kSnapItemHdrLen + key_len + val_len);
   const std::string key(reinterpret_cast<const char*>(all.data()) +
                             kSnapItemHdrLen,
                         key_len);

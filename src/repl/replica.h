@@ -97,12 +97,11 @@ class ReplicaNode {
   void wire_up(nic::Fabric& fabric);
   void on_msg(net::HomaDelivery d);
   void apply_data(net::HomaDelivery& d);
-  void apply_one(const net::HomaDelivery& d, OpKind op, std::string_view key,
-                 std::size_t val_at, u32 val_len, u64 trace_id);
+  // Applies the in-order delivery `d` (a kData message) to the store.
+  void apply_one(const net::HomaDelivery& d);
   void publish_applied(u64 seq);
   void send_ack();
   void attach_batcher();
-  void free_delivery(net::HomaDelivery& d);
   void snap_item(const net::HomaDelivery& d);
   void snap_end(u64 cut_seq);
 

@@ -6,41 +6,16 @@
 
 namespace papm::repl {
 
-std::vector<u8> delivery_head(const net::HomaDelivery& d, std::size_t n) {
-  std::vector<u8> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < d.pkts.size() && out.size() < n; i++) {
-    net::PktBuf* pb = d.pkts[i];
-    const u8* base = pb->owner->data(*pb);
-    const std::size_t take = std::min<std::size_t>(d.lens[i], n - out.size());
-    out.insert(out.end(), base + d.offs[i], base + d.offs[i] + take);
-  }
-  return out;
-}
-
 void release_delivery(net::HomaDelivery& d) {
-  for (net::PktBuf* pb : d.pkts) net::PktBufPool::release(pb);
-  d.pkts.clear();
-  d.offs.clear();
-  d.lens.clear();
+  for (const net::PktRange& r : d.ranges) net::PktBufPool::release(r.pb);
+  d.ranges.clear();
 }
 
 std::vector<Replicator::GatherSeg> gather_from_pkts(
-    std::span<net::PktBuf* const> pkts, std::span<const u32> offs,
-    std::span<const u32> lens) {
+    std::span<const net::PktRange> ranges) {
   std::vector<Replicator::GatherSeg> segs;
-  segs.reserve(pkts.size());
-  for (std::size_t i = 0; i < pkts.size(); i++) {
-    net::PktBuf* pb = pkts[i];
-    if (pb->sliced() && offs[i] >= pb->payload_off) {
-      // Sliced frame: the payload's physical home is the slice block;
-      // translate the linear-view offset into it.
-      segs.push_back({pb->slice_h, pb->slice_off + (offs[i] - pb->payload_off),
-                      lens[i], pb->slice_cap});
-    } else {
-      segs.push_back({pb->data_h, offs[i], lens[i], pb->cap});
-    }
-  }
+  segs.reserve(ranges.size());
+  for (const net::PktRange& r : ranges) segs.push_back(r.block());
   return segs;
 }
 
@@ -134,7 +109,7 @@ void Replicator::forward_to(Peer& p, const Rec& r) {
 }
 
 void Replicator::on_msg(net::HomaDelivery d) {
-  const auto head = delivery_head(d, kCtlLen);
+  const auto head = net::flatten(d.ranges, kCtlLen);
   release_delivery(d);
   if (stopped_ || head.size() < kCtlLen) return;
   if (static_cast<MsgKind>(head[0]) != MsgKind::ack) return;

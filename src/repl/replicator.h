@@ -122,16 +122,13 @@ class Replicator {
   obs::Counter* m_degraded_ = nullptr;
 };
 
-// Gather ranges for the value byte ranges (pkts[i], offs[i], lens[i]) as
-// the server's dispatch path holds them — offs absolute within each
-// packet's linear buffer view. Resolves sliced packets to their slice
-// blocks (the bytes' physical home) so the refs pin the right blocks.
+// Gather ranges for a value's packet ranges as the server's dispatch path
+// holds them: each range's block (PktRange::block — the slice block of a
+// sliced packet), so the refs pin the blocks the bytes live in.
 std::vector<Replicator::GatherSeg> gather_from_pkts(
-    std::span<net::PktBuf* const> pkts, std::span<const u32> offs,
-    std::span<const u32> lens);
+    std::span<const net::PktRange> ranges);
 
-// Shared delivery helpers (replica + replicator message parsing).
-std::vector<u8> delivery_head(const net::HomaDelivery& d, std::size_t n);
+// Frees a delivery's packets (replica + replicator message handling).
 void release_delivery(net::HomaDelivery& d);
 
 // Snapshot re-sync source side (cold path, copied bytes): streams every

@@ -49,33 +49,30 @@ class Clock {
   }
 
   // --- Charge scopes (see header comment) ---------------------------
-  void begin_scope(SimTime base, SimTime* collector) noexcept {
-    assert(collector_ == nullptr && "scopes do not nest");
-    scope_base_ = base;
-    collector_ = collector;
-  }
-  void end_scope() noexcept { collector_ = nullptr; }
-  [[nodiscard]] bool in_scope() const noexcept { return collector_ != nullptr; }
+  // While a Scope lives, advance() accumulates into `collector` and now()
+  // reads `base + *collector`. Destruction restores the scope active before
+  // (a device engine modelled inside a host scope diverts its charges off
+  // the host), also when a PowerFailure unwinds through it.
+  class Scope {
+   public:
+    Scope(Clock& clk, SimTime base, SimTime* collector) noexcept
+        : clk_(clk), prev_base_(clk.scope_base_), prev_(clk.collector_) {
+      clk_.scope_base_ = base;
+      clk_.collector_ = collector;
+    }
+    ~Scope() {
+      clk_.scope_base_ = prev_base_;
+      clk_.collector_ = prev_;
+    }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
 
-  // Swap the active scope for another (scopes never nest, but a device
-  // engine modelled *inside* a host scope — e.g. the NIC index engine —
-  // needs to divert charges away from the host's collector and restore it
-  // afterwards, including when a PowerFailure unwinds through the engine).
-  struct ScopeState {
-    SimTime base = 0;
-    SimTime* collector = nullptr;
+   private:
+    Clock& clk_;
+    SimTime prev_base_;
+    SimTime* prev_;
   };
-  [[nodiscard]] ScopeState exchange_scope(SimTime base,
-                                          SimTime* collector) noexcept {
-    const ScopeState prev{scope_base_, collector_};
-    scope_base_ = base;
-    collector_ = collector;
-    return prev;
-  }
-  void restore_scope(ScopeState s) noexcept {
-    scope_base_ = s.base;
-    collector_ = s.collector;
-  }
+  [[nodiscard]] bool in_scope() const noexcept { return collector_ != nullptr; }
 
   void reset() noexcept {
     now_ = 0;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 #include <vector>
 
@@ -80,16 +81,8 @@ class HostCpu {
     backlogged_ = start > arrival;
     SimTime charge = 0;
     {
-      // The scope must close even when `fn` throws (a PowerFailure cutting
-      // the host mid-handler): the collector points at the stack local
-      // above, and a leaked scope would leave the global clock reading a
-      // dead frame long after the unwind.
-      struct ScopeCloser {
-        Clock* clk;
-        ~ScopeCloser() { clk->end_scope(); }
-      };
-      env_->clock().begin_scope(start, &charge);
-      const ScopeCloser closer{&env_->clock()};
+      assert(!env_->clock().in_scope() && "scopes do not nest");
+      const Clock::Scope scope(env_->clock(), start, &charge);
       std::forward<F>(fn)();
     }
     const SimTime done = start + charge;

@@ -4,6 +4,8 @@
 // recovery.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include <cstring>
 #include <string>
 
@@ -14,6 +16,11 @@ namespace papm::core {
 namespace {
 
 using net::PktBuf;
+
+// One packet's value bytes as the one-range list put_pkts takes.
+std::array<net::PktRange, 1> one_range(net::PktBuf* pb, u32 off, u32 len) {
+  return {{{pb, off, len}}};
+}
 
 constexpr u64 kDev = 32u << 20;
 constexpr u32 kClientIp = 0x0a000001;
@@ -122,7 +129,7 @@ TEST_F(PktStoreTest, IngestReceivedPacketZeroCopy) {
   ASSERT_EQ(pkts.size(), 1u);
   PktBuf* pb = pkts[0];
 
-  ASSERT_TRUE(store.put_pkt("key1", *pb, pb->payload_off, 1024).ok());
+  ASSERT_TRUE(store.put_pkts("key1", one_range(pb, pb->payload_off, 1024)).ok());
   const u64 stored_buffer = pb->data_h;
   rig.pool.free(pb);  // network stack is done with the packet
 
@@ -155,7 +162,7 @@ TEST_F(PktStoreTest, ChecksumReuseMatchesDirectComputation) {
   ASSERT_EQ(pkts.size(), 1u);
   PktBuf* pb = pkts[0];
   const u32 val_off = pb->payload_off + static_cast<u32>(header.size());
-  ASSERT_TRUE(store.put_pkt("key2", *pb, val_off, 500).ok());
+  ASSERT_TRUE(store.put_pkts("key2", one_range(pb, val_off, 500)).ok());
   rig.pool.free(pb);
 
   EXPECT_TRUE(store.verify("key2").ok());
@@ -168,8 +175,10 @@ TEST_F(PktStoreTest, ReuseSkipsChecksumAndCopyCosts) {
   ASSERT_EQ(p1.size(), 1u);
 
   storage::OpBreakdown reuse_bd;
-  ASSERT_TRUE(
-      store.put_pkt("reuse", *p1[0], p1[0]->payload_off, 1024, &reuse_bd).ok());
+  ASSERT_TRUE(store
+                  .put_pkts("reuse", one_range(p1[0], p1[0]->payload_off, 1024),
+                            &reuse_bd)
+                  .ok());
   rig.pool.free(p1[0]);
 
   PktStoreOptions no_reuse;
@@ -181,7 +190,8 @@ TEST_F(PktStoreTest, ReuseSkipsChecksumAndCopyCosts) {
   ASSERT_EQ(p2.size(), 1u);
   storage::OpBreakdown plain_bd;
   ASSERT_TRUE(baseline_like
-                  .put_pkt("reuse", *p2[0], p2[0]->payload_off, 1024, &plain_bd)
+                  .put_pkts("reuse", one_range(p2[0], p2[0]->payload_off, 1024),
+                            &plain_bd)
                   .ok());
   rig.pool.free(p2[0]);
 
@@ -201,20 +211,17 @@ TEST_F(PktStoreTest, ReuseSkipsChecksumAndCopyCosts) {
 TEST_F(PktStoreTest, MultiSegmentValueChains) {
   // Three segments of one logical value.
   const auto value = rand_bytes(3500, 4);
-  std::vector<PktBuf*> pkts;
-  std::vector<u32> offs, lens;
+  std::vector<net::PktRange> ranges;
   std::size_t at = 0;
   while (at < value.size()) {
     const u32 n = static_cast<u32>(std::min<std::size_t>(1460, value.size() - at));
     auto got = rig.deliver(env, std::span<const u8>(value.data() + at, n));
     ASSERT_EQ(got.size(), 1u);
-    pkts.push_back(got[0]);
-    offs.push_back(got[0]->payload_off);
-    lens.push_back(n);
+    ranges.push_back({got[0], got[0]->payload_off, n});
     at += n;
   }
-  ASSERT_TRUE(store.put_pkts("chain", pkts, offs, lens).ok());
-  for (auto* pb : pkts) rig.pool.free(pb);
+  ASSERT_TRUE(store.put_pkts("chain", ranges).ok());
+  for (const auto& r : ranges) rig.pool.free(r.pb);
 
   const auto st = store.stat("chain");
   ASSERT_TRUE(st.ok());
@@ -264,8 +271,7 @@ TEST_F(PktStoreTest, EmitPktsZeroCopyRoundTrip) {
 // packet per element, as put_pkts ingests a multi-segment request).
 void put_chain(PmRig& rig, PktStore& store, std::string_view key,
                std::span<const u8> value, std::span<const u32> sizes) {
-  std::vector<PktBuf*> pkts;
-  std::vector<u32> offs;
+  std::vector<net::PktRange> ranges;
   std::size_t at = 0;
   for (const u32 n : sizes) {
     PktBuf* pb = rig.pool.alloc(static_cast<u32>(net::kAllHdrLen + n));
@@ -274,13 +280,12 @@ void put_chain(PmRig& rig, PktStore& store, std::string_view key,
     pb->payload_off = static_cast<u16>(net::kAllHdrLen);
     std::memcpy(rig.pool.writable(*pb, pb->len).data() + net::kAllHdrLen,
                 value.data() + at, n);
-    pkts.push_back(pb);
-    offs.push_back(static_cast<u32>(net::kAllHdrLen));
+    ranges.push_back({pb, static_cast<u32>(net::kAllHdrLen), n});
     at += n;
   }
   ASSERT_EQ(at, value.size());
-  ASSERT_TRUE(store.put_pkts(key, pkts, offs, sizes).ok());
-  for (auto* pb : pkts) rig.pool.free(pb);
+  ASSERT_TRUE(store.put_pkts(key, ranges).ok());
+  for (const auto& r : ranges) rig.pool.free(r.pb);
 }
 
 TEST_F(PktStoreTest, EmitPacksPrefixAndValueIntoFullSegments) {
@@ -362,7 +367,8 @@ TEST_F(PktStoreTest, EraseReclaimsEverything) {
 TEST_F(PktStoreTest, CorruptionDetectedInet16) {
   const auto value = rand_bytes(800, 10);
   auto pkts = rig.deliver(env, value);
-  ASSERT_TRUE(store.put_pkt("k", *pkts[0], pkts[0]->payload_off, 800).ok());
+  ASSERT_TRUE(
+      store.put_pkts("k", one_range(pkts[0], pkts[0]->payload_off, 800)).ok());
   const u64 data_off = pkts[0]->data_h + pkts[0]->payload_off;
   rig.pool.free(pkts[0]);
   // Flip a stored byte behind the store's back.
@@ -378,7 +384,7 @@ TEST_F(PktStoreTest, CorruptionDetectedCrc32c) {
   auto s2 = PktStore::create(rig.pool, "crc", o);
   const auto value = rand_bytes(800, 11);
   auto pkts = rig.deliver(env, value);
-  ASSERT_TRUE(s2.put_pkt("k", *pkts[0], pkts[0]->payload_off, 800).ok());
+  ASSERT_TRUE(s2.put_pkts("k", one_range(pkts[0], pkts[0]->payload_off, 800)).ok());
   const u64 data_off = pkts[0]->data_h + pkts[0]->payload_off;
   rig.pool.free(pkts[0]);
   EXPECT_EQ(s2.stat("k")->csum_kind, CsumKind::crc32c);
@@ -413,7 +419,9 @@ TEST_F(PktStoreTest, CrashRecoveryRestoresEverything) {
   // Also one network-ingested value.
   const auto netval = rand_bytes(1024, 999);
   auto pkts = rig.deliver(env, netval);
-  ASSERT_TRUE(store.put_pkt("netkey", *pkts[0], pkts[0]->payload_off, 1024).ok());
+  ASSERT_TRUE(
+      store.put_pkts("netkey", one_range(pkts[0], pkts[0]->payload_off, 1024))
+          .ok());
   rig.pool.free(pkts[0]);
   model["netkey"] = netval;
 
@@ -450,7 +458,7 @@ TEST_F(PktStoreTest, TimestampReuseToggle) {
   auto s2 = PktStore::create(rig.pool, "nots", o);
   const auto value = rand_bytes(100, 15);
   auto pkts = rig.deliver(env, value);
-  ASSERT_TRUE(s2.put_pkt("k", *pkts[0], pkts[0]->payload_off, 100).ok());
+  ASSERT_TRUE(s2.put_pkts("k", one_range(pkts[0], pkts[0]->payload_off, 100)).ok());
   rig.pool.free(pkts[0]);
   EXPECT_EQ(s2.stat("k")->hw_tstamp, 0);
 }

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include <cstring>
 #include <deque>
 #include <map>
@@ -45,6 +47,11 @@ namespace {
 using crashtest::AckLog;
 using crashtest::CrashScenario;
 using crashtest::SweepOptions;
+
+// One packet's value bytes as the one-range list put_pkts takes.
+std::array<net::PktRange, 1> one_range(net::PktBuf* pb, u32 off, u32 len) {
+  return {{{pb, off, len}}};
+}
 
 std::vector<u8> value_of(u64 tag, std::size_t len) {
   std::vector<u8> v(len);
@@ -386,7 +393,7 @@ class SlicedIngestScenario final : public CrashScenario {
       log.begin_put(key_of(i), val);
       net::PktBuf* pb = make_sliced(val);
       ASSERT_NE(pb, nullptr);
-      EXPECT_TRUE(store_->put_pkt(key_of(i), *pb, kHdr, 1024).ok());
+      EXPECT_TRUE(store_->put_pkts(key_of(i), one_range(pb, kHdr, 1024)).ok());
       pktpool_->free(pb);
       log.ack();
     }
@@ -398,10 +405,8 @@ class SlicedIngestScenario final : public CrashScenario {
     net::PktBuf* s1 = make_sliced(std::span<const u8>(big).subspan(1400));
     ASSERT_NE(s0, nullptr);
     ASSERT_NE(s1, nullptr);
-    net::PktBuf* pkts[2] = {s0, s1};
-    const u32 offs[2] = {kHdr, kHdr};
-    const u32 lens[2] = {1400, 1000};
-    EXPECT_TRUE(store_->put_pkts("big", pkts, offs, lens).ok());
+    const net::PktRange ranges[2] = {{s0, kHdr, 1400}, {s1, kHdr, 1000}};
+    EXPECT_TRUE(store_->put_pkts("big", ranges).ok());
     pktpool_->free(s0);
     pktpool_->free(s1);
     log.ack();
@@ -410,7 +415,7 @@ class SlicedIngestScenario final : public CrashScenario {
     log.begin_put(key_of(0), over);
     net::PktBuf* pb = make_sliced(over);
     ASSERT_NE(pb, nullptr);
-    EXPECT_TRUE(store_->put_pkt(key_of(0), *pb, kHdr, 1024).ok());
+    EXPECT_TRUE(store_->put_pkts(key_of(0), one_range(pb, kHdr, 1024)).ok());
     pktpool_->free(pb);
     log.ack();
   }

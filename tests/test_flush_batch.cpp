@@ -1,7 +1,8 @@
 // FlushBatcher unit tests: epoch sizing and deferral bounds, pass-through
 // behaviour (including the device's own pass-through batcher), the
-// idle-drain check, deferred-publication masking, ack/quarantine ordering
-// at epoch close, and the pool seal/restore hysteresis.
+// deadline and idle-drain checks, deferred-publication masking,
+// ack/quarantine ordering at epoch close, and the pool seal/restore
+// hysteresis.
 //
 // Everything here observes the batcher through the PmDevice's lifetime
 // flush counters (total_clwb/total_sfence — alive even under
@@ -173,6 +174,41 @@ TEST(FlushBatcher, DrainCheckClosesOnlyAnEpochNoOpJoined) {
   EXPECT_TRUE(b.epoch_open()) << "a check of a retired epoch must not close";
   EXPECT_EQ(closes, 1);
   b.close();
+}
+
+TEST(FlushBatcher, DeadlineCheckClosesAtTheOpenEpochsDeadline) {
+  sim::Env env;
+  pm::PmDevice dev(env, 1u << 16);
+  pm::FlushBatcher b(dev, policy_of(100, /*deferral_ns=*/500));
+  std::vector<SimTime> closed_at;
+  const auto run_close = [&] {
+    closed_at.push_back(env.now());
+    b.close();
+  };
+
+  b.arm_deadline_check(run_close);
+  EXPECT_EQ(env.engine.pending(), 0u) << "no open epoch, nothing to check";
+
+  // Epoch A opens at 0 and is closed by hand at 100; B opens at 200. A's
+  // check finds B at 500 and re-arms for B's deadline instead of cutting
+  // it short; a second arm while one is pending schedules nothing.
+  b.begin_op(true, 0);
+  b.end_op();
+  b.arm_deadline_check(run_close);
+  b.arm_deadline_check(run_close);
+  EXPECT_EQ(env.engine.pending(), 1u);
+  env.engine.schedule_at(100, [&] { b.close(); });
+  env.engine.schedule_at(200, [&] {
+    b.begin_op(true, static_cast<u64>(env.now()));
+    b.end_op();
+  });
+  env.engine.run_until(600);
+  EXPECT_TRUE(b.epoch_open());
+  EXPECT_TRUE(closed_at.empty());
+  env.engine.run_until_idle();
+  ASSERT_EQ(closed_at.size(), 1u);
+  EXPECT_EQ(closed_at[0], 700) << "B closes at its own open + deadline";
+  EXPECT_FALSE(b.epoch_open());
 }
 
 TEST(FlushBatcher, DeferredPublicationMaskedFromCrashUntilClose) {

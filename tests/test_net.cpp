@@ -226,6 +226,41 @@ TEST_F(PktBufTest, FragsRefcounted) {
   EXPECT_EQ(pool.live_data_blocks(), 0u);
 }
 
+// ---------- packet byte ranges ----------
+
+TEST_F(PktBufTest, WindowAndFlattenCutAcrossRanges) {
+  // Three packets whose payloads (past a 4-byte header) spell a value.
+  std::vector<PktRange> ranges;
+  for (const std::string_view part : {"hello", " ", "world!"}) {
+    PktBuf* pb = pool.alloc(64);
+    pb->payload_off = 4;
+    pb->len = static_cast<u32>(4 + part.size());
+    std::memcpy(pool.writable(*pb, pb->len).data() + 4, part.data(),
+                part.size());
+    ranges.push_back(payload_range(*pb));
+  }
+  const auto text = [](const std::vector<u8>& v) {
+    return std::string(v.begin(), v.end());
+  };
+  EXPECT_EQ(text(flatten(ranges)), "hello world!");
+  EXPECT_EQ(text(flatten(ranges, 7)), "hello w");
+
+  const auto w = window(ranges, 3, 5);  // "lo wo"
+  ASSERT_EQ(w.size(), 3u);
+  EXPECT_EQ(w[0].pb, ranges[0].pb);
+  EXPECT_EQ(w[0].off, 4u + 3);
+  EXPECT_EQ(w[0].len, 2u);
+  EXPECT_EQ(w[1].len, 1u);
+  EXPECT_EQ(w[2].off, 4u);
+  EXPECT_EQ(w[2].len, 2u);
+  EXPECT_EQ(text(flatten(w)), "lo wo");
+  EXPECT_EQ(text(flatten(window(ranges, 6, 100))), "world!")
+      << "a window past the end is cut where the list ends";
+  EXPECT_TRUE(window(ranges, 6, 0).empty());
+  EXPECT_TRUE(window(ranges, 12, 3).empty());
+  for (const PktRange& r : ranges) pool.free(r.pb);
+}
+
 // ---------- end-to-end TCP ----------
 
 struct TestHost {

@@ -2,6 +2,7 @@
 // model arithmetic.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "sim/env.h"
@@ -21,6 +22,31 @@ TEST(Clock, AdvancesMonotonically) {
   EXPECT_EQ(c.now(), 100);
   c.jump_to(200);
   EXPECT_EQ(c.now(), 200);
+}
+
+TEST(Clock, ScopeRestoresTheScopeBeforeIt) {
+  Clock c;
+  c.advance(10);
+  SimTime host = 0;
+  SimTime engine = 0;
+  {
+    const Clock::Scope outer(c, 100, &host);
+    c.advance(5);
+    EXPECT_EQ(c.now(), 105);
+    try {
+      const Clock::Scope inner(c, c.now(), &engine);
+      c.advance(7);
+      EXPECT_EQ(c.now(), 112);
+      throw std::runtime_error("cut");
+    } catch (const std::runtime_error&) {
+    }
+    EXPECT_EQ(engine, 7);
+    EXPECT_EQ(c.now(), 105) << "the unwind restores the host's scope";
+    c.advance(1);
+  }
+  EXPECT_EQ(host, 6);
+  EXPECT_FALSE(c.in_scope());
+  EXPECT_EQ(c.now(), 10) << "scoped charges never move event time";
 }
 
 TEST(Engine, RunsEventsInTimeOrder) {

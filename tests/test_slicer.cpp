@@ -6,6 +6,8 @@
 // right side of the measured crossover.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include <cstring>
 #include <string>
 #include <vector>
@@ -17,6 +19,11 @@ namespace papm::core {
 namespace {
 
 using net::PktBuf;
+
+// One packet's value bytes as the one-range list put_pkts takes.
+std::array<net::PktRange, 1> one_range(net::PktBuf* pb, u32 off, u32 len) {
+  return {{{pb, off, len}}};
+}
 
 constexpr u64 kDev = 32u << 20;
 constexpr u32 kClientIp = 0x0a000001;
@@ -168,7 +175,7 @@ TEST_F(SlicerTest, SlicedPutSkipsPersistAndVerifies) {
 
   storage::OpBreakdown bd;
   const u32 val_off = pb->payload_off + static_cast<u32>(header.size());
-  ASSERT_TRUE(store.put_pkt("k", *pb, val_off, 700, &bd).ok());
+  ASSERT_TRUE(store.put_pkts("k", one_range(pb, val_off, 700), &bd).ok());
   rig.pool.free(pb);
 
   // The DMA already placed the payload durably: no copy, no persist.
@@ -191,8 +198,7 @@ TEST_F(SlicerTest, OutOfOrderReassemblyOfSlicedSegments) {
   for (int i = 0; i < 8; i++) {
     const auto value = rand_bytes(4000 + static_cast<std::size_t>(i) * 613,
                                   100 + static_cast<u64>(i));
-    std::vector<PktBuf*> pkts;
-    std::vector<u32> offs, lens;
+    std::vector<net::PktRange> ranges;
     std::size_t need = value.size();
     while (need > 0) {
       auto got = rrig.deliver(
@@ -200,15 +206,13 @@ TEST_F(SlicerTest, OutOfOrderReassemblyOfSlicedSegments) {
                                     std::min<std::size_t>(need, 100000)));
       for (PktBuf* pb : got) {
         EXPECT_TRUE(pb->sliced());
-        pkts.push_back(pb);
-        offs.push_back(pb->payload_off);
-        lens.push_back(pb->payload_len());
+        ranges.push_back(net::payload_range(*pb));
         need -= pb->payload_len();
       }
     }
     const std::string key = "ooo" + std::to_string(i);
-    ASSERT_TRUE(rstore.put_pkts(key, pkts, offs, lens).ok());
-    for (auto* pb : pkts) rrig.pool.free(pb);
+    ASSERT_TRUE(rstore.put_pkts(key, ranges).ok());
+    for (const auto& r : ranges) rrig.pool.free(r.pb);
     ASSERT_TRUE(rstore.verify(key).ok()) << key;
     EXPECT_EQ(rstore.get(key).value(), value) << key;
   }
@@ -224,7 +228,9 @@ TEST_F(SlicerTest, InsertPolicyNicOffloadsAndRecovers) {
   auto pkts = rig.deliver(env, value);
   ASSERT_EQ(pkts.size(), 1u);
   storage::OpBreakdown bd;
-  ASSERT_TRUE(s2.put_pkt("k", *pkts[0], pkts[0]->payload_off, 1024, &bd).ok());
+  ASSERT_TRUE(
+      s2.put_pkts("k", one_range(pkts[0], pkts[0]->payload_off, 1024), &bd)
+          .ok());
   rig.pool.free(pkts[0]);
 
   // The whole critical region billed as the offloaded command; the host
@@ -257,7 +263,7 @@ TEST_F(SlicerTest, InsertPolicyAutoFollowsSizeThreshold) {
   ASSERT_EQ(p1.size(), 1u);
   storage::OpBreakdown small_bd;
   ASSERT_TRUE(
-      s2.put_pkt("s", *p1[0], p1[0]->payload_off, 512, &small_bd).ok());
+      s2.put_pkts("s", one_range(p1[0], p1[0]->payload_off, 512), &small_bd).ok());
   rig.pool.free(p1[0]);
   EXPECT_EQ(small_bd.nic_insert_ns, 0u);
   EXPECT_GT(small_bd.alloc_insert_ns, 0u);
@@ -265,14 +271,13 @@ TEST_F(SlicerTest, InsertPolicyAutoFollowsSizeThreshold) {
   // At/above the threshold: offloaded.
   const auto big = rand_bytes(4096, 6);
   auto p2 = rig.deliver(env, big);
-  std::vector<u32> offs, lens;
+  std::vector<net::PktRange> ranges;
   for (PktBuf* pb : p2) {
     ASSERT_TRUE(pb->sliced());
-    offs.push_back(pb->payload_off);
-    lens.push_back(pb->payload_len());
+    ranges.push_back(net::payload_range(*pb));
   }
   storage::OpBreakdown big_bd;
-  ASSERT_TRUE(s2.put_pkts("b", p2, offs, lens, &big_bd).ok());
+  ASSERT_TRUE(s2.put_pkts("b", ranges, &big_bd).ok());
   for (auto* pb : p2) rig.pool.free(pb);
   EXPECT_GT(big_bd.nic_insert_ns, 0u);
   EXPECT_EQ(big_bd.alloc_insert_ns, 0u);
@@ -291,7 +296,7 @@ TEST_F(SlicerTest, PolicyNicFallsBackOnUnslicedPackets) {
   ASSERT_FALSE(pkts[0]->sliced());
   storage::OpBreakdown bd;
   ASSERT_TRUE(
-      s2.put_pkt("k", *pkts[0], pkts[0]->payload_off, 1024, &bd).ok());
+      s2.put_pkts("k", one_range(pkts[0], pkts[0]->payload_off, 1024), &bd).ok());
   plain.pool.free(pkts[0]);
   // The engine only takes sliced-slot descriptors: host path used.
   EXPECT_EQ(bd.nic_insert_ns, 0u);
@@ -324,7 +329,7 @@ TEST_F(SlicerTest, CorruptedSliceDetected) {
   ASSERT_TRUE(pkts[0]->sliced());
   const u64 slice_off = pkts[0]->slice_h + pkts[0]->slice_off;
   ASSERT_TRUE(
-      store.put_pkt("k", *pkts[0], pkts[0]->payload_off, 800).ok());
+      store.put_pkts("k", one_range(pkts[0], pkts[0]->payload_off, 800)).ok());
   rig.pool.free(pkts[0]);
   u8 evil = *rig.dev.at(slice_off + 13, 1) ^ 0x20;
   rig.dev.store(slice_off + 13, {&evil, 1});

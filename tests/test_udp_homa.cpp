@@ -230,8 +230,8 @@ class HomaTest : public ::testing::Test {
 TEST_F(HomaTest, SmallMessageRoundTrip) {
   std::vector<u8> got;
   b.homa.on_message = [&](HomaDelivery d) {
-    got = d.bytes(b.pool);
-    for (auto* pb : d.pkts) b.pool.free(pb);
+    got = flatten(d.ranges);
+    for (const auto& r : d.ranges) b.pool.free(r.pb);
   };
   bool acked = false;
   a.homa.on_sent = [&](u64) { acked = true; };
@@ -246,9 +246,9 @@ TEST_F(HomaTest, SmallMessageRoundTrip) {
 TEST_F(HomaTest, LargeMessageUsesGrants) {
   std::vector<u8> got;
   b.homa.on_message = [&](HomaDelivery d) {
-    EXPECT_GT(d.pkts.size(), 2u);  // spans several segments
-    got = d.bytes(b.pool);
-    for (auto* pb : d.pkts) b.pool.free(pb);
+    EXPECT_GT(d.ranges.size(), 2u);  // spans several segments
+    got = flatten(d.ranges);
+    for (const auto& r : d.ranges) b.pool.free(r.pb);
   };
   const auto data = rand_bytes(64 * 1024, 11);
   a.homa.send_msg(kBIp, 4000, data);
@@ -262,7 +262,7 @@ TEST_F(HomaTest, EmptyMessage) {
   b.homa.on_message = [&](HomaDelivery d) {
     delivered++;
     EXPECT_EQ(d.total_len, 0u);
-    for (auto* pb : d.pkts) b.pool.free(pb);
+    for (const auto& r : d.ranges) b.pool.free(r.pb);
   };
   a.homa.send_msg(kBIp, 4000, {});
   env.engine.run_until_idle();
@@ -279,8 +279,8 @@ TEST_P(HomaLossy, ReliableUnderLoss) {
 
   std::map<u64, std::vector<u8>> got;
   b.homa.on_message = [&](HomaDelivery d) {
-    got[d.msg_id] = d.bytes(b.pool);
-    for (auto* pb : d.pkts) b.pool.free(pb);
+    got[d.msg_id] = flatten(d.ranges);
+    for (const auto& r : d.ranges) b.pool.free(r.pb);
   };
   std::map<u64, std::vector<u8>> sent;
   for (int i = 0; i < 10; i++) {
@@ -334,8 +334,8 @@ TEST_F(HomaTest, RecoversFromLostGrant) {
   });
   std::vector<u8> got;
   b.homa.on_message = [&](HomaDelivery d) {
-    got = d.bytes(b.pool);
-    for (auto* pb : d.pkts) b.pool.free(pb);
+    got = flatten(d.ranges);
+    for (const auto& r : d.ranges) b.pool.free(r.pb);
   };
   bool acked = false;
   a.homa.on_sent = [&](u64) { acked = true; };
@@ -371,8 +371,8 @@ TEST_F(HomaTest, RecoversFromLostLastSegment) {
   });
   std::vector<u8> got;
   b.homa.on_message = [&](HomaDelivery d) {
-    got = d.bytes(b.pool);
-    for (auto* pb : d.pkts) b.pool.free(pb);
+    got = flatten(d.ranges);
+    for (const auto& r : d.ranges) b.pool.free(r.pb);
   };
   bool acked = false;
   a.homa.on_sent = [&](u64) { acked = true; };
@@ -408,8 +408,8 @@ TEST_F(HomaTest, ZeroCopyIngestFromHomaDelivery) {
 
   auto store = core::PktStore::create(pool, "homa-store");
   shoma.on_message = [&](HomaDelivery d) {
-    EXPECT_TRUE(store.put_pkts("msg", d.pkts, d.offs, d.lens).ok());
-    for (auto* pb : d.pkts) pool.free(pb);
+    EXPECT_TRUE(store.put_pkts("msg", d.ranges).ok());
+    for (const auto& r : d.ranges) pool.free(r.pb);
   };
 
   const auto data = rand_bytes(4000, 12);
